@@ -84,22 +84,22 @@ struct EngineOptions {
   // (real compute) on the Server, "sim" (virtual-time cost model) on
   // SimEngine. "null" completes every task with zero outputs after
   // null_latency_micros — a compute-free harness for scheduler and
-  // pipeline studies. "opencl" exists behind -DCB_WITH_OPENCL=ON (stub).
+  // pipeline studies.
   std::string backend;
   // NullBackend only: fixed per-task completion latency, microseconds.
   double null_latency_micros = 0.0;
   int num_workers = 1;
-  // Width of each worker's intra-task thread pool (backends with
-  // caps().supports_intra_task_pool): GEMM output blocks and gather /
-  // scatter rows of one task fan across this many threads. Total
-  // exec-side threads ~= num_workers * threads_per_worker.
+  // Width of each worker's intra-task thread pool (the CPU backend): GEMM
+  // output blocks and gather / scatter rows of one task fan across this
+  // many threads. Total exec-side threads ~= num_workers *
+  // threads_per_worker.
   int threads_per_worker = 1;
   // Manager shards (see DESIGN.md "Sharded manager"): scheduler state is
   // partitioned into this many independent manager loops, each owning a
   // contiguous slice of the workers. Arrivals are routed by request id;
-  // a shard with an idle worker and no compatible ready work steals
-  // not-yet-scheduled requests from its peers. Clamped to
-  // [1, num_workers]; 1 reproduces the single-manager behaviour exactly.
+  // a starved shard tells its peers, and a peer with surplus donates a
+  // not-yet-scheduled request. Clamped to [1, num_workers]; 1 reproduces
+  // the single-manager behaviour exactly.
   int num_shards = 1;
   // Low watermark on each worker's in-flight task count (the paper's
   // pipelined task submission). The Server defaults to 2 (hide the

@@ -50,9 +50,6 @@ struct BatchPolicyOptions {
   // formable batch improves per-item cost by at least this fraction
   // (i.e. the cost curve is still in its sub-linear region).
   double min_efficiency_gain = 0.05;
-  // Server only: feed the policy an OnlineCostModel continuously re-fitted
-  // from measured exec spans (the simulator's model is exact already).
-  bool calibrate = true;
 };
 
 struct SchedulerOptions {

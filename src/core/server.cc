@@ -5,7 +5,6 @@
 #include <deque>
 #include <future>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -105,8 +104,10 @@ struct Server::WorkerPipeline {
   // Device staging buffers (backend_->CreateArena()); the CPU backend's
   // wrap TensorArenas, compute-free backends hand out no-op arenas.
   std::unique_ptr<DeviceArena> staging[2];
-  // Total exec-thread time with nothing to execute (see WorkerIdleMicros).
-  // Written only by the exec thread; read from any thread.
+  // Total exec-thread time with nothing to execute (see WorkerIdleMicros):
+  // from Start (or a respawn) to the first task, between tasks, and from
+  // the last task to exit. Written only by the exec thread; read from any
+  // thread.
   std::atomic<double> idle_micros{0.0};
 
   // ---- Worker failure domains (written only when health_on_) ----------
@@ -147,69 +148,44 @@ struct Server::WorkerPipeline {
   // count reaches it, so a ReadmitMsg can never overtake its
   // QuarantineMsg through the inbox.
   std::atomic<int64_t> quarantine_acks{0};
+
+  // Heartbeat: one unit of progress at `now` (watchdog on only).
+  void Beat(double now) {
+    hb_epoch.fetch_add(1, std::memory_order_relaxed);
+    hb_stamp.store(now, std::memory_order_relaxed);
+  }
+
+  // Publishes a task that will not execute (injected fault or pure
+  // cascade): nothing is gathered, and its entries' keys join
+  // failed_produced so later consumers in this stream poison instead of
+  // blocking. Returns false, publishing nothing, if the worker was
+  // quarantined meanwhile (the caller hands the task back).
+  bool PublishSkipped(StagedTask& st) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (quarantined) {
+        return false;
+      }
+      for (const TaskEntry& entry : st.wt.task.entries) {
+        failed_produced.insert(HazardKey(entry.request, entry.node));
+      }
+      staged.push_back(std::move(st));
+    }
+    cv.notify_all();
+    return true;
+  }
 };
 
-// One manager shard (DESIGN.md "Sharded manager"): a full single-manager
-// slice of the server — its own RequestProcessor + Scheduler (so subgraph
-// queues, pinning and failure parking are shard-private), its own inbox,
-// deadline heap and submission bookkeeping, and a contiguous range
-// [worker_begin, worker_end) of the workers. The only cross-shard traffic
-// is the stealing protocol (StealRequestMsg / MigrateMsg / StealDenyMsg)
-// and the global drain counter; everything else a shard touches is owned
-// by its manager thread alone.
+// One manager shard (DESIGN.md "Sharded manager"): the shard's ShardCore —
+// its own RequestProcessor + Scheduler, submission bookkeeping, deadline
+// heap, stealing state and a contiguous range of the workers — plus the
+// inbox and thread that drive it. The only cross-shard traffic is
+// ShardCore's PeerMsg (hunger notices and migrations) and the global drain
+// counter; everything else a shard touches is owned by its manager thread
+// alone.
 struct Server::Shard {
-  int id = 0;
-  int worker_begin = 0;
-  int worker_end = 0;  // exclusive
-
-  std::unique_ptr<RequestProcessor> processor;
-  std::unique_ptr<Scheduler> scheduler;
+  std::unique_ptr<ShardCore> core;
   BlockingQueue<ManagerMsg> inbox;
-
-  // Submission bookkeeping, keyed by request id; entries migrate with the
-  // request when it is stolen.
-  std::unordered_map<RequestId, std::vector<ValueRef>> outputs_wanted;
-  std::unordered_map<RequestId, ResponseFn> callbacks;
-  std::unordered_map<RequestId, TerminationFn> terminations;
-
-  // In-flight task count per owned worker, indexed worker - worker_begin.
-  std::vector<int> outstanding;
-  int refill_start = 0;  // rotating scan start (local worker offset)
-  // Workers the watchdog quarantined (indexed worker - worker_begin):
-  // excluded from every refill / steal / donate scan until re-admitted.
-  // Touched only by this shard's manager; always all-zero with the
-  // watchdog off.
-  std::vector<uint8_t> quarantined;
-
-  // Min-heap of (absolute shed deadline, request). Entries for requests
-  // that finished or migrated away are discarded lazily when they surface.
-  std::priority_queue<std::pair<double, RequestId>,
-                      std::vector<std::pair<double, RequestId>>,
-                      std::greater<std::pair<double, RequestId>>>
-      deadlines;
-
-  // ---- Stealing state (all touched only by this shard's manager) ----
-  // Steal candidates ordered by (priority, id): lowest priority first,
-  // oldest first among equals. Entries go stale when a request is
-  // scheduled, terminal, or gone; PopStealable discards them lazily (the
-  // completion path also erases eagerly).
-  std::set<std::pair<int, RequestId>> stealable;
-  // One outstanding steal round at a time: a StealRequestMsg is in flight
-  // (or bouncing through denials) until a migration lands or every peer
-  // denied.
-  bool steal_pending = false;
-  int steal_next = 0;     // peer the current round last asked
-  int steal_denials = 0;  // denials received this round
-  // Peers whose steal request this shard denied; when this shard's workers
-  // saturate with stealable surplus left over, it donates to them unasked.
-  std::vector<int> hungry;
-  // Cancels that arrived for requests this shard does not (yet) own. A
-  // cancel broadcast can reach the thief before the migration it races
-  // with; the tombstone cancels the request the moment it is adopted.
-  // Pruned whenever the server drains (no in-flight request ⇒ no in-flight
-  // migration ⇒ every tombstone is stale).
-  std::unordered_set<RequestId> pending_cancels;
-
   std::thread thread;
 };
 
@@ -246,13 +222,6 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   BM_CHECK(caps_.supported_precisions[static_cast<int>(options_.precision)])
       << "backend '" << backend_name << "' does not support the requested "
       << "GEMM precision";
-  if (caps_.max_pipeline_depth > 0 &&
-      options_.pipeline_depth > caps_.max_pipeline_depth) {
-    BM_LOG(Warning) << "backend '" << backend_name << "' caps pipeline depth "
-                    << "at " << caps_.max_pipeline_depth << "; clamping from "
-                    << options_.pipeline_depth;
-    options_.pipeline_depth = caps_.max_pipeline_depth;
-  }
   if (options_.numa_policy != NumaPolicy::kNone && !caps_.supports_numa_pinning) {
     BM_LOG(Warning) << "backend '" << backend_name << "' does not support "
                     << "NUMA pinning; degrading numa_policy to none";
@@ -270,7 +239,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
 
   // Slack-aware batch formation (DESIGN.md): an online cost model —
   // seeded with the static Figure-3 anchors, continuously re-fitted from
-  // measured exec spans when calibration is on — feeds every shard
+  // measured exec spans — feeds every shard
   // scheduler's delay/launch decision. The health watchdog prices its
   // hang thresholds from the same model, so it is created for either
   // feature (the scheduler only consults it under slack_on_).
@@ -343,140 +312,80 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   }
 
   for (int s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    Shard* sh = shard.get();
-    sh->id = s;
-    sh->worker_begin = shard_bounds[static_cast<size_t>(s)];
-    sh->worker_end = shard_bounds[static_cast<size_t>(s) + 1];
-    BM_CHECK_LT(sh->worker_begin, sh->worker_end);
+    const int begin = shard_bounds[static_cast<size_t>(s)];
     // A shard's workers share one node whenever shards don't outnumber
     // nodes (the boundary snapping above); its manager pins there too.
-    shard_node_.push_back(
-        numa_on_ ? worker_node_[static_cast<size_t>(sh->worker_begin)] : -1);
-    for (int w = sh->worker_begin; w < sh->worker_end; ++w) {
+    shard_node_.push_back(numa_on_ ? worker_node_[static_cast<size_t>(begin)] : -1);
+    for (int w = begin; w < shard_bounds[static_cast<size_t>(s) + 1]; ++w) {
       shard_of_worker_[static_cast<size_t>(w)] = s;
     }
-    sh->outstanding.assign(static_cast<size_t>(sh->worker_end - sh->worker_begin), 0);
-    sh->quarantined.assign(static_cast<size_t>(sh->worker_end - sh->worker_begin), 0);
-    sh->steal_next = s;
+  }
 
-    sh->processor = std::make_unique<RequestProcessor>(
-        registry,
-        /*on_subgraph_ready=*/
-        [sh](Subgraph* sg) { sh->scheduler->EnqueueSubgraph(sg); },
-        /*on_request_complete=*/
-        [this, sh](RequestState* state) {
-          const RequestStatus status = state->status;
-          switch (status) {
-            case RequestStatus::kOk: {
-              RequestRecord record;
-              record.id = state->id;
-              record.arrival_micros = state->arrival_micros;
-              record.exec_start_micros = state->ExecStartMicros();
-              record.completion_micros = NowMicros();
-              record.num_nodes = state->graph.NumNodes();
-              metrics_.Record(record);
-              metrics_.shard(sh->id).completions.fetch_add(1,
-                                                           std::memory_order_relaxed);
-              break;
-            }
-            case RequestStatus::kShed:
-              metrics_.RecordDropped();
-              break;
-            case RequestStatus::kFailed:
-              metrics_.RecordFailed();
-              break;
-            case RequestStatus::kCancelled:
-              break;  // caller-initiated; neither a completion nor a drop
-            case RequestStatus::kRejected:
-              break;  // unreachable: rejected requests are never admitted
-          }
-
-          // The request is terminal: drop its steal candidacy eagerly
-          // (PopStealable would discard it lazily anyway).
-          sh->stealable.erase({state->priority, state->id});
-
-          // Collect wanted outputs (kOk only — other terminal states carry
-          // none) and fire the callback exactly once.
-          const auto wanted_it = sh->outputs_wanted.find(state->id);
-          BM_CHECK(wanted_it != sh->outputs_wanted.end());
-          std::vector<Tensor> outputs;
-          if (status == RequestStatus::kOk) {
-            outputs.reserve(wanted_it->second.size());
-            for (const ValueRef& ref : wanted_it->second) {
-              if (state->nodes[static_cast<size_t>(ref.node)].stage ==
-                  NodeStage::kCancelled) {
-                continue;  // early termination cancelled this producer
-              }
-              const auto& node_out = state->node_outputs[static_cast<size_t>(ref.node)];
-              BM_CHECK_LT(static_cast<size_t>(ref.output), node_out.size());
-              outputs.push_back(node_out[static_cast<size_t>(ref.output)]);
-            }
-          }
-          sh->outputs_wanted.erase(wanted_it);
-          sh->terminations.erase(state->id);
-
-          // Sweep stale poison keys of nodes that were cancelled after a
-          // failure (their keys sit in the failing worker's failed_produced
-          // set and the request will never unpark anything to purge them).
-          // Gated on an actual failure having happened, so the common path
-          // never touches the pipeline locks from the manager.
-          if (state->cancelled_nodes > 0 &&
-              (fault_injector_.enabled() ||
-               tasks_failed_.load(std::memory_order_relaxed) > 0)) {
-            std::vector<uint64_t> keys;
-            for (size_t n = 0; n < state->nodes.size(); ++n) {
-              if (state->nodes[n].stage == NodeStage::kCancelled) {
-                keys.push_back(HazardKey(state->id, static_cast<int>(n)));
-              }
-            }
-            if (!keys.empty()) {
-              for (auto& pipe : pipelines_) {
-                std::lock_guard<std::mutex> lock(pipe->mu);
-                for (uint64_t key : keys) {
-                  pipe->failed_produced.erase(key);
-                }
-              }
-            }
-          }
-
-          const auto cb_it = sh->callbacks.find(state->id);
-          BM_CHECK(cb_it != sh->callbacks.end());
-          ResponseFn callback = std::move(cb_it->second);
-          sh->callbacks.erase(cb_it);
-          if (callback) {
-            callback(state->id, status, std::move(outputs));
-          }
-          if (status == RequestStatus::kShed) {
-            trace_.RequestDrop(state->id);
-          } else {
-            trace_.RequestComplete(state->id, state->ExecStartMicros());
-          }
-          if (unfinished_requests_.fetch_sub(1) == 1) {
-            // Last in-flight request: wake a Shutdown() waiting for the
-            // drain. Taking the mutex orders this notify after the waiter's
-            // predicate check, so the wakeup cannot be missed.
-            std::lock_guard<std::mutex> lock(lifecycle_mu_);
-            drained_cv_.notify_all();
-          }
-        });
-    sh->scheduler =
-        std::make_unique<Scheduler>(registry, sh->processor.get(), options_.scheduler);
-    sh->scheduler->set_trace(&trace_);
+  for (int s = 0; s < num_shards_; ++s) {
+    ShardConfig config;
+    config.id = s;
+    config.num_shards = num_shards_;
+    config.worker_begin = shard_bounds[static_cast<size_t>(s)];
+    config.worker_end = shard_bounds[static_cast<size_t>(s) + 1];
+    config.pipeline_depth = options_.pipeline_depth;
+    config.queue_timeout_micros = options_.admission.queue_timeout_micros;
+    config.scheduler = options_.scheduler;
     if (slack_on_) {
-      sh->scheduler->set_cost_model(online_cost_model_.get());
-      sh->scheduler->set_batch_policy(options_.batch_policy);
+      config.slack_cost_model = online_cost_model_.get();
+      config.batch_policy = options_.batch_policy;
     }
-    // Task ids partition across shards (seed s, stride S) so trace and
-    // fault-injection ids stay globally unique without coordination.
-    sh->scheduler->SetTaskIdSpace(static_cast<uint64_t>(s),
-                                  static_cast<uint64_t>(num_shards_));
+    if (numa_on_) {
+      config.shard_node = shard_node_;
+    }
+    ShardCore::Driver driver;
+    driver.now = [this] { return NowMicros(); };
+    // Cannot land on a closed inbox: a migrating request is unfinished, so
+    // Shutdown's drain wait has not released and no inbox is closed yet; a
+    // hunger notice that races Shutdown is dropped harmlessly.
+    driver.send = [this](int to_shard, PeerMsg msg) {
+      shards_[static_cast<size_t>(to_shard)]->inbox.Push(ManagerMsg{std::move(msg)});
+    };
+    driver.on_retired = [this](RequestState* state) {
+      // Sweep stale poison keys of nodes that were cancelled after a
+      // failure (their keys sit in the failing worker's failed_produced
+      // set and the request will never unpark anything to purge them).
+      // Gated on an actual failure having happened, so the common path
+      // never touches the pipeline locks from the manager.
+      if (state->cancelled_nodes > 0 &&
+          (fault_injector_.enabled() ||
+           tasks_failed_.load(std::memory_order_relaxed) > 0)) {
+        std::vector<uint64_t> keys;
+        for (size_t n = 0; n < state->nodes.size(); ++n) {
+          if (state->nodes[n].stage == NodeStage::kCancelled) {
+            keys.push_back(HazardKey(state->id, static_cast<int>(n)));
+          }
+        }
+        if (!keys.empty()) {
+          for (auto& pipe : pipelines_) {
+            std::lock_guard<std::mutex> lock(pipe->mu);
+            for (uint64_t key : keys) {
+              pipe->failed_produced.erase(key);
+            }
+          }
+        }
+      }
+      if (unfinished_requests_.fetch_sub(1) == 1) {
+        // Last in-flight request: wake a Shutdown() waiting for the
+        // drain. Taking the mutex orders this notify after the waiter's
+        // predicate check, so the wakeup cannot be missed.
+        std::lock_guard<std::mutex> lock(lifecycle_mu_);
+        drained_cv_.notify_all();
+      }
+    };
+    auto shard = std::make_unique<Shard>();
+    shard->core = std::make_unique<ShardCore>(registry, std::move(config), std::move(driver),
+                                              &metrics_, &trace_);
     // When a failure-parked subgraph drains and is about to re-enqueue,
     // purge its nodes' poison keys from the worker that ran the failed task
     // (the pinned — hence last — worker): with zero tasks in flight nothing
     // can still consume them, and a healthy re-execution scheduled back to
     // that worker must not be mis-poisoned by the stale keys.
-    sh->scheduler->set_unpark_hook([this](Subgraph* sg) {
+    shard->core->scheduler().set_unpark_hook([this](Subgraph* sg) {
       if (sg->last_worker < 0) {
         return;
       }
@@ -508,15 +417,15 @@ void Server::Start() {
   for (auto& shard : shards_) {
     Shard* sh = shard.get();
     sh->thread = std::thread([this, sh] {
-      SetCurrentThreadName("manager/" + std::to_string(sh->id));
-      if (numa_on_ && shard_node_[static_cast<size_t>(sh->id)] >= 0) {
+      const int id = sh->core->id();
+      SetCurrentThreadName("manager/" + std::to_string(id));
+      if (numa_on_ && shard_node_[static_cast<size_t>(id)] >= 0) {
         // Keep the manager on its workers' node: refill messages and the
         // request map stay node-local. Best-effort, like every pin.
         PinCurrentThreadToCpus(
-            topology_.nodes[static_cast<size_t>(shard_node_[static_cast<size_t>(sh->id)])]
-                .cpus);
+            topology_.nodes[static_cast<size_t>(shard_node_[static_cast<size_t>(id)])].cpus);
       }
-      TraceRecorder::SetThreadShard(sh->id);
+      TraceRecorder::SetThreadShard(id);
       ManagerLoop(*sh);
     });
   }
@@ -526,9 +435,11 @@ void Server::Start() {
       TraceRecorder::SetThreadShard(shard);
       StageLoop(i);
     });
+    // Every exec thread is idle from Start (micros 0) until its first
+    // task, however late the OS first runs it.
     exec_threads_.emplace_back([this, i, shard] {
       TraceRecorder::SetThreadShard(shard);
-      ExecLoop(i);
+      ExecLoop(i, /*idle_since=*/0.0);
     });
   }
   if (health_on_) {
@@ -603,14 +514,11 @@ RequestId Server::Submit(CellGraph graph, std::vector<Tensor> externals,
     if (opts.terminate_after_node >= graph.NumNodes()) {
       accepted = false;
     } else {
-      terminate = [node = opts.terminate_after_node](const RequestState&,
-                                                     int completed_node) {
-        return completed_node == node;
-      };
+      terminate = TerminateAfterNode(opts.terminate_after_node);
     }
   }
   if (accepted) {
-    ArrivalMsg msg;
+    ShardArrival msg;
     msg.graph = std::move(graph);
     msg.externals = std::move(externals);
     msg.outputs_wanted = std::move(outputs_wanted);
@@ -673,8 +581,8 @@ Response Server::SubmitAndWait(CellGraph graph, std::vector<Tensor> externals,
 void Server::Cancel(RequestId id) {
   BM_CHECK(started_.load()) << "Cancel before Start";
   // Broadcast: only the owning shard acts, but ownership can be mid-flight
-  // in a MigrateMsg, so every shard gets the message (non-owners keep a
-  // tombstone; see Shard::pending_cancels). Push on a closed inbox is a
+  // in a Migration, so every shard gets the message (non-owners keep a
+  // tombstone; see ShardCore::Cancel). Push on a closed inbox is a
   // no-op: after Shutdown the request is already terminal, so there is
   // nothing left to cancel.
   for (auto& shard : shards_) {
@@ -760,11 +668,12 @@ void Server::Shutdown() {
   // now that their manager threads have stopped (exactly once: a second
   // Shutdown call returns at the exchange above).
   for (auto& shard : shards_) {
-    ShardCounters& counters = metrics_.shard(shard->id);
-    counters.delayed_batches.fetch_add(shard->scheduler->TotalDelayedLaunches(),
+    const Scheduler& scheduler = shard->core->scheduler();
+    ShardCounters& counters = metrics_.shard(shard->core->id());
+    counters.delayed_batches.fetch_add(scheduler.TotalDelayedLaunches(),
                                        std::memory_order_relaxed);
     counters.batch_delay_micros.fetch_add(
-        static_cast<int64_t>(shard->scheduler->TotalBatchDelayMicros()),
+        static_cast<int64_t>(scheduler.TotalBatchDelayMicros()),
         std::memory_order_relaxed);
   }
 }
@@ -772,7 +681,7 @@ void Server::Shutdown() {
 size_t Server::PendingDeadlines() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->deadlines.size();
+    total += shard->core->PendingDeadlines();
   }
   return total;
 }
@@ -815,451 +724,89 @@ std::vector<WorkerHealthSnapshot> Server::HealthReport() const {
 }
 
 void Server::ManagerLoop(Shard& shard) {
+  ShardCore& core = *shard.core;
   for (;;) {
+    // A shedding deadline or deferred launch bounds the wait, so a queued
+    // request is shed — and a deferred batch launched — on time even with
+    // no messages in flight.
+    const double wake = core.NextWakeMicros();
     std::optional<ManagerMsg> msg;
-    // Purge dead heap tops first: a completed/cancelled/executing request's
-    // deadline must never shape the wake-up wait (a stale top would wake
-    // the manager for nothing, or mask a later live deadline behind an
-    // already-passed one).
-    PruneDeadlines(shard);
-    double wake = std::numeric_limits<double>::infinity();
-    if (!shard.deadlines.empty()) {
-      wake = shard.deadlines.top().first;
-    }
-    if (slack_on_) {
-      // Deferred-batch launch hint — only actionable when some owned
-      // worker has stream room; a hint that passes unactioned is expired
-      // below so the loop cannot spin on it.
-      for (size_t i = 0; i < shard.outstanding.size(); ++i) {
-        if (shard.outstanding[i] < options_.pipeline_depth) {
-          wake = std::min(wake, shard.scheduler->NextLaunchMicros());
-          break;
-        }
-      }
-    }
     if (wake == std::numeric_limits<double>::infinity()) {
       msg = shard.inbox.Pop();
       if (!msg) {
         break;  // closed and drained
       }
     } else {
-      // A shedding deadline or deferred launch is pending: sleep at most
-      // until it fires, so a queued request is shed — and a deferred batch
-      // launched — on time even with no messages in flight.
-      const double now = NowMicros();
-      const double wait = wake - now;
-      if (wait <= 0.0) {
-        ExpireDeadlines(shard, now);
-        if (slack_on_) {
-          TryRefillWorkers(shard);
-          shard.scheduler->ExpireLaunchHints(NowMicros());
-        }
-        continue;
-      }
-      msg = shard.inbox.PopFor(std::chrono::duration<double, std::micro>(wait));
-      if (!msg) {
-        if (shard.inbox.Closed()) {
+      const double wait = wake - NowMicros();
+      if (wait > 0.0) {
+        msg = shard.inbox.PopFor(std::chrono::duration<double, std::micro>(wait));
+        if (!msg && shard.inbox.Closed()) {
           break;  // nullopt with the queue closed implies drained
         }
-        ExpireDeadlines(shard, NowMicros());
-        if (slack_on_) {
-          TryRefillWorkers(shard);
-          shard.scheduler->ExpireLaunchHints(NowMicros());
-        }
+      }
+      if (!msg) {
+        core.Wake();
+        Dispatch(core);
         continue;
       }
     }
     HandleMsg(shard, std::move(*msg));
     // Admit everything that queued up behind this message before the
-    // refill pass: near-simultaneous requests batch together, and a burst
-    // of completions is absorbed in one scan instead of one per message.
+    // pass: near-simultaneous requests batch together, and a burst of
+    // completions is absorbed in one scan instead of one per message.
     while (auto more = shard.inbox.TryPop()) {
       HandleMsg(shard, std::move(*more));
     }
-    ExpireDeadlines(shard, NowMicros());
-    TryRefillWorkers(shard);
-    TryDonate(shard);
-    MaybeInitiateSteal(shard);
-    if (!shard.pending_cancels.empty() &&
-        unfinished_requests_.load(std::memory_order_relaxed) == 0) {
+    core.Pass();
+    Dispatch(core);
+    if (core.HasTombstones() && unfinished_requests_.load(std::memory_order_relaxed) == 0) {
       // Fully drained ⇒ no migration in flight ⇒ every tombstone is stale.
-      shard.pending_cancels.clear();
+      core.ClearTombstones();
     }
   }
 }
 
 void Server::HandleMsg(Shard& shard, ManagerMsg msg) {
-  if (std::holds_alternative<ArrivalMsg>(msg)) {
-    HandleArrival(shard, std::move(std::get<ArrivalMsg>(msg)));
-  } else if (std::holds_alternative<CompletionMsg>(msg)) {
-    HandleCompletion(shard, std::move(std::get<CompletionMsg>(msg)));
-  } else if (std::holds_alternative<CancelMsg>(msg)) {
-    HandleCancel(shard, std::get<CancelMsg>(msg));
-  } else if (std::holds_alternative<StealRequestMsg>(msg)) {
-    HandleStealRequest(shard, std::get<StealRequestMsg>(msg));
-  } else if (std::holds_alternative<MigrateMsg>(msg)) {
-    HandleMigrate(shard, std::move(std::get<MigrateMsg>(msg)));
-  } else if (std::holds_alternative<QuarantineMsg>(msg)) {
-    HandleQuarantine(shard, std::get<QuarantineMsg>(msg));
-  } else if (std::holds_alternative<ReadmitMsg>(msg)) {
-    HandleReadmit(shard, std::get<ReadmitMsg>(msg));
-  } else if (std::holds_alternative<RequeueMsg>(msg)) {
-    HandleRequeue(shard, std::move(std::get<RequeueMsg>(msg)));
+  ShardCore& core = *shard.core;
+  if (auto* arrival = std::get_if<ShardArrival>(&msg)) {
+    core.Admit(std::move(*arrival));
+  } else if (auto* done = std::get_if<CompletionMsg>(&msg)) {
+    core.Complete(done->task, done->failed_entries, done->victim_entry);
+    // The targeted refill's tasks go out now, before the manager touches
+    // any other queued message.
+    Dispatch(core);
+  } else if (auto* cancel = std::get_if<CancelMsg>(&msg)) {
+    core.Cancel(cancel->id);
+  } else if (auto* peer = std::get_if<PeerMsg>(&msg)) {
+    core.Receive(std::move(*peer));
+  } else if (auto* quarantine = std::get_if<QuarantineMsg>(&msg)) {
+    HandleQuarantine(shard, *quarantine);
+  } else if (auto* readmit = std::get_if<ReadmitMsg>(&msg)) {
+    HandleReadmit(shard, *readmit);
   } else {
-    HandleStealDeny(shard, std::get<StealDenyMsg>(msg));
+    core.Requeue(std::get<RequeueMsg>(msg).task);
   }
 }
 
-void Server::HandleArrival(Shard& shard, ArrivalMsg msg) {
-  shard.outputs_wanted.emplace(msg.id, std::move(msg.outputs_wanted));
-  shard.callbacks.emplace(msg.id, std::move(msg.on_response));
-  if (msg.terminate) {
-    shard.terminations.emplace(msg.id, std::move(msg.terminate));
-  }
-  metrics_.shard(shard.id).arrivals.fetch_add(1, std::memory_order_relaxed);
-  RequestState* state = shard.processor->AddRequest(
-      msg.id, std::move(msg.graph), msg.arrival_micros, std::move(msg.externals));
-  state->priority = msg.priority;
-  state->deadline_micros = msg.deadline_micros;
-  state->queue_timeout_micros = admission_.queue_timeout_micros;
-  const double shed = state->ShedDeadlineMicros();
-  if (shed > 0.0) {
-    shard.deadlines.emplace(msg.arrival_micros + shed, msg.id);
-  }
-  // Every request starts never-scheduled, hence stealable; the candidacy
-  // goes stale the moment the first task forms.
-  shard.stealable.insert({state->priority, state->id});
-}
-
-void Server::HandleCancel(Shard& shard, CancelMsg msg) {
-  RequestState* state = shard.processor->FindRequest(msg.id);
-  if (state == nullptr) {
-    // Not owned here — but it may be owned *nowhere* right now (in flight
-    // between a steal victim and its thief). Tombstone so an adoption that
-    // lost the race to this broadcast still honours the cancel.
-    if (num_shards_ > 1) {
-      shard.pending_cancels.insert(msg.id);
-    }
-    return;
-  }
-  if (!state->MarkTerminal(RequestStatus::kCancelled)) {
-    return;  // already finished (kOk won the race) or terminal
-  }
-  shard.scheduler->CancelRequest(msg.id);
-}
-
-void Server::PruneDeadlines(Shard& shard) {
-  while (!shard.deadlines.empty()) {
-    RequestState* state = shard.processor->FindRequest(shard.deadlines.top().second);
-    if (state == nullptr || state->ExecStarted() ||
-        state->status != RequestStatus::kOk) {
-      // Finished, migrated away, already executing, or terminal: this
-      // entry can never shed anything — drop it before it shapes a wait.
-      shard.deadlines.pop();
-      continue;
-    }
-    break;
-  }
-}
-
-void Server::ExpireDeadlines(Shard& shard, double now_micros) {
-  while (!shard.deadlines.empty() && shard.deadlines.top().first <= now_micros) {
-    const RequestId id = shard.deadlines.top().second;
-    shard.deadlines.pop();
-    RequestState* state = shard.processor->FindRequest(id);
-    if (state == nullptr || state->ExecStarted() ||
-        state->status != RequestStatus::kOk) {
-      continue;  // finished, migrated away, running, or already terminal
-    }
-    // Same semantics as the simulator's queue timeout: a request sheds
-    // only if it has not begun executing when the deadline fires. (The
-    // ExecStarted read races benignly with a worker's first-execution CAS;
-    // losing it just means the request completes normally.)
-    state->MarkTerminal(RequestStatus::kShed);
-    shard.scheduler->CancelRequest(id);
-  }
-}
-
-void Server::HandleCompletion(Shard& shard, CompletionMsg msg) {
-  const int worker = msg.task.worker;
-  BM_CHECK_GE(worker, shard.worker_begin);
-  BM_CHECK_LT(worker, shard.worker_end);
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  shard.outstanding[local]--;
-  BM_CHECK_GE(shard.outstanding[local], 0);
-  if (msg.failed_entries.empty()) {
-    shard.scheduler->OnTaskCompleted(msg.task);
-  } else {
-    shard.scheduler->OnTaskFailed(msg.task, msg.failed_entries, msg.victim_entry);
-  }
-  // Early-termination predicates (the request may already be finalized, in
-  // which case FindRequest returns null and nothing happens). Skipped
-  // entirely when no request registered one — the common case. Failed
-  // entries are skipped: their nodes did not complete.
-  if (!shard.terminations.empty()) {
-    std::vector<bool> failed(msg.task.entries.size(), false);
-    for (int i : msg.failed_entries) {
-      failed[static_cast<size_t>(i)] = true;
-    }
-    for (size_t i = 0; i < msg.task.entries.size(); ++i) {
-      if (failed[i]) {
-        continue;
-      }
-      const TaskEntry& entry = msg.task.entries[i];
-      const auto term_it = shard.terminations.find(entry.request);
-      if (term_it == shard.terminations.end()) {
-        continue;
-      }
-      RequestState* state = shard.processor->FindRequest(entry.request);
-      if (state == nullptr) {
-        continue;
-      }
-      if (term_it->second(*state, entry.node)) {
-        shard.terminations.erase(term_it);
-        shard.scheduler->CancelRequest(entry.request);
-      }
-    }
-  }
-  // Targeted refill: this completion may have dropped the worker below the
-  // watermark and unlocked successors it can run; hand them over now,
-  // before the manager touches any other queued message.
-  if (shard.outstanding[local] < options_.pipeline_depth) {
-    TrySchedule(shard, worker);
-  }
-}
-
-RequestState* Server::PopStealable(Shard& shard) {
-  while (!shard.stealable.empty()) {
-    const auto it = shard.stealable.begin();
-    const RequestId id = it->second;
-    shard.stealable.erase(it);
-    RequestState* state = shard.processor->FindRequest(id);
-    if (state == nullptr || state->ever_scheduled ||
-        state->status != RequestStatus::kOk) {
-      continue;  // stale candidate: gone, already pinned work, or terminal
-    }
-    return state;
-  }
-  return nullptr;
-}
-
-void Server::MigrateOut(Shard& victim, RequestState* state, int thief) {
-  const RequestId id = state->id;
-  MigrateMsg msg;
-  msg.from_shard = victim.id;
-  // Unhook the queued subgraphs from the victim's scheduler first (the
-  // processor checks the request really was never scheduled), then move
-  // the state and its submission bookkeeping wholesale. The stale
-  // deadline-heap entry stays behind; FindRequest discards it lazily.
-  victim.scheduler->DetachRequest(state);
-  msg.state = victim.processor->ReleaseRequest(id);
-  const auto wanted_it = victim.outputs_wanted.find(id);
-  BM_CHECK(wanted_it != victim.outputs_wanted.end());
-  msg.outputs_wanted = std::move(wanted_it->second);
-  victim.outputs_wanted.erase(wanted_it);
-  const auto cb_it = victim.callbacks.find(id);
-  BM_CHECK(cb_it != victim.callbacks.end());
-  msg.on_response = std::move(cb_it->second);
-  victim.callbacks.erase(cb_it);
-  const auto term_it = victim.terminations.find(id);
-  if (term_it != victim.terminations.end()) {
-    msg.terminate = std::move(term_it->second);
-    victim.terminations.erase(term_it);
-  }
-  metrics_.shard(victim.id).steals_out.fetch_add(1, std::memory_order_relaxed);
-  // Cannot land on a closed inbox: a migrating request is unfinished, so
-  // Shutdown's drain wait has not released and no inbox is closed yet.
-  shards_[static_cast<size_t>(thief)]->inbox.Push(ManagerMsg{std::move(msg)});
-}
-
-void Server::HandleStealRequest(Shard& shard, const StealRequestMsg& msg) {
-  RequestState* state = PopStealable(shard);
-  if (state != nullptr) {
-    MigrateOut(shard, state, msg.thief);
-    return;
-  }
-  // Nothing to give: remember the hungry peer for later donation and let
-  // it try the next victim.
-  if (std::find(shard.hungry.begin(), shard.hungry.end(), msg.thief) ==
-      shard.hungry.end()) {
-    shard.hungry.push_back(msg.thief);
-  }
-  shards_[static_cast<size_t>(msg.thief)]->inbox.Push(
-      ManagerMsg{StealDenyMsg{shard.id}});
-}
-
-void Server::HandleMigrate(Shard& shard, MigrateMsg msg) {
-  // A migration ends any pending steal round, requested or donated. A
-  // straggler denial from the old round is ignored (or at worst ends the
-  // next round early — harmless, the round restarts while the imbalance
-  // persists).
-  shard.steal_pending = false;
-  shard.steal_denials = 0;
-  const int from_shard = msg.from_shard;
-  RequestState* state = shard.processor->AdoptRequest(std::move(msg.state));
-  const RequestId id = state->id;
-  shard.outputs_wanted.emplace(id, std::move(msg.outputs_wanted));
-  shard.callbacks.emplace(id, std::move(msg.on_response));
-  if (msg.terminate) {
-    shard.terminations.emplace(id, std::move(msg.terminate));
-  }
-  // Re-key on the destination heap (the stale entry left behind on the
-  // victim's heap is pruned lazily there).
-  const double shed = state->ShedDeadlineMicros();
-  if (shed > 0.0) {
-    shard.deadlines.emplace(state->arrival_micros + shed, id);
-  }
-  shard.stealable.insert({state->priority, id});
-  steals_.fetch_add(1);
-  metrics_.shard(shard.id).steals_in.fetch_add(1, std::memory_order_relaxed);
-  if (numa_on_) {
-    // With node-aligned shard boundaries, a steal between shards on
-    // different nodes is the only deliberately cross-node traffic; count it
-    // separately so the locality bench can report it.
-    const int to_node = shard_node_[static_cast<size_t>(shard.id)];
-    const int from_node = shard_node_[static_cast<size_t>(from_shard)];
-    if (to_node >= 0 && from_node >= 0 && to_node != from_node) {
-      metrics_.node(to_node).cross_node_steals.fetch_add(1,
-                                                         std::memory_order_relaxed);
-    }
-  }
-  trace_.ShardSteal(id, from_shard, shard.id);
-  const auto tomb_it = shard.pending_cancels.find(id);
-  if (tomb_it != shard.pending_cancels.end()) {
-    // A cancel broadcast beat the migration here; honour it now.
-    shard.pending_cancels.erase(tomb_it);
-    if (state->MarkTerminal(RequestStatus::kCancelled)) {
-      shard.scheduler->CancelRequest(id);
-    }
-  }
-}
-
-void Server::HandleStealDeny(Shard& shard, const StealDenyMsg& msg) {
-  (void)msg;
-  if (!shard.steal_pending) {
-    return;  // stale denial from a round a migration already ended
-  }
-  if (++shard.steal_denials >= num_shards_ - 1) {
-    shard.steal_pending = false;  // every peer denied; round over
-    return;
-  }
-  do {
-    shard.steal_next = (shard.steal_next + 1) % num_shards_;
-  } while (shard.steal_next == shard.id);
-  shards_[static_cast<size_t>(shard.steal_next)]->inbox.Push(
-      ManagerMsg{StealRequestMsg{shard.id}});
-}
-
-void Server::MaybeInitiateSteal(Shard& shard) {
-  if (num_shards_ <= 1 || shard.steal_pending) {
-    return;
-  }
-  // Steal only on genuine starvation: an owned worker with an empty stream
-  // that the refill pass just failed to feed (no compatible ready work).
-  bool starved = false;
-  for (int w = shard.worker_begin; w < shard.worker_end && !starved; ++w) {
-    const size_t local = static_cast<size_t>(w - shard.worker_begin);
-    if (health_on_ && shard.quarantined[local] != 0) {
-      continue;  // a quarantined worker is empty by design, not starved
-    }
-    starved = shard.outstanding[local] == 0 &&
-              !shard.scheduler->HasCompatibleReadyWork(w);
-  }
-  if (!starved) {
-    return;
-  }
-  shard.steal_pending = true;
-  shard.steal_denials = 0;
-  shard.steal_next = (shard.id + 1) % num_shards_;
-  shards_[static_cast<size_t>(shard.steal_next)]->inbox.Push(
-      ManagerMsg{StealRequestMsg{shard.id}});
-}
-
-void Server::TryDonate(Shard& shard) {
-  if (shard.hungry.empty() || num_shards_ <= 1) {
-    return;
-  }
-  // Donate only surplus: every owned worker already at the watermark means
-  // local scheduling cannot absorb a stealable request any time soon.
-  // Quarantined workers don't count — their streams are deliberately empty
-  // and must not make the shard look under-committed forever.
-  for (size_t local = 0; local < shard.outstanding.size(); ++local) {
-    if (health_on_ && shard.quarantined[local] != 0) {
-      continue;
-    }
-    if (shard.outstanding[local] < options_.pipeline_depth) {
-      return;
-    }
-  }
-  while (!shard.hungry.empty()) {
-    RequestState* state = PopStealable(shard);
-    if (state == nullptr) {
-      return;  // no surplus left; keep the hungry list for the next burst
-    }
-    const int thief = shard.hungry.front();
-    shard.hungry.erase(shard.hungry.begin());
-    MigrateOut(shard, state, thief);
-  }
-}
-
-void Server::TrySchedule(Shard& shard, int worker) {
-  if (health_on_ &&
-      shard.quarantined[static_cast<size_t>(worker - shard.worker_begin)] != 0) {
-    return;  // the stream stops refilling until the watchdog re-admits
-  }
-  // The clock read only feeds the slack policy; skip it (and pass the
-  // ignored 0) on the greedy path.
-  std::vector<BatchedTask> tasks =
-      shard.scheduler->Schedule(worker, slack_on_ ? NowMicros() : 0.0);
-  if (tasks.empty()) {
-    return;
-  }
-  trace_.StreamRefill(worker, static_cast<int>(tasks.size()));
-  for (BatchedTask& task : tasks) {
+void Server::Dispatch(ShardCore& core) {
+  std::vector<BatchedTask>& formed = core.formed();
+  for (BatchedTask& task : formed) {
     WorkerTask wt;
     wt.states.reserve(task.entries.size());
     for (const TaskEntry& entry : task.entries) {
-      RequestState* state = shard.processor->FindRequest(entry.request);
+      RequestState* state = core.processor().FindRequest(entry.request);
       BM_CHECK(state != nullptr);
       wt.states.push_back(state);
     }
+    const int worker = task.worker;
     wt.task = std::move(task);
-    shard.outstanding[static_cast<size_t>(worker - shard.worker_begin)]++;
     task_queues_[static_cast<size_t>(worker)]->Push(std::move(wt));
   }
-}
-
-void Server::TryRefillWorkers(Shard& shard) {
-  if (!shard.scheduler->HasReadyWork()) {
-    return;
-  }
-  // Watermark refill: top up every owned worker whose stream has fewer
-  // than pipeline_depth tasks in flight. The scan start rotates so that
-  // under light load (work for one task, everyone below watermark) the
-  // first fresh subgraph does not always pin to the shard's first worker.
-  const int n = shard.worker_end - shard.worker_begin;
-  const int start = shard.refill_start;
-  shard.refill_start = (shard.refill_start + 1) % n;
-  for (int i = 0; i < n; ++i) {
-    const int local = (start + i) % n;
-    if (health_on_ && shard.quarantined[static_cast<size_t>(local)] != 0) {
-      continue;
-    }
-    if (shard.outstanding[static_cast<size_t>(local)] < options_.pipeline_depth) {
-      TrySchedule(shard, shard.worker_begin + local);
-      if (!shard.scheduler->HasReadyWork()) {
-        break;
-      }
-    }
-  }
+  formed.clear();
 }
 
 void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
   const int worker = msg.worker;
-  BM_CHECK_GE(worker, shard.worker_begin);
-  BM_CHECK_LT(worker, shard.worker_end);
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  shard.quarantined[local] = 1;
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
 
   // Reclaim the undone stream. Every task this worker was handed is in
@@ -1334,88 +881,28 @@ void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
   pipe.quarantine_acks.fetch_add(1);
   pipe.cv.notify_all();
 
-  std::deque<WorkerTask> queued = task_queues_[static_cast<size_t>(worker)]->DrainAll();
-  for (const BatchedTask& task : reclaimed) {
-    RequeueReclaimed(shard, worker, task);
+  for (WorkerTask& wt : task_queues_[static_cast<size_t>(worker)]->DrainAll()) {
+    reclaimed.push_back(std::move(wt.task));
   }
-  for (const WorkerTask& wt : queued) {
-    RequeueReclaimed(shard, worker, wt.task);
-  }
+  shard.core->Quarantine(worker, reclaimed);
   metrics_.worker(worker).quarantines.fetch_add(1, std::memory_order_relaxed);
-  trace_.WorkerQuarantine(worker, msg.dead,
-                          static_cast<int>(reclaimed.size() + queued.size()));
-
-  // A shard with every worker quarantined cannot run the reclaimed work;
-  // hand never-scheduled requests to healthy peers rather than sitting on
-  // them for the whole recovery.
-  bool any_healthy = false;
-  for (uint8_t q : shard.quarantined) {
-    any_healthy |= q == 0;
-  }
-  if (!any_healthy) {
-    DonateAllStealable(shard);
-  }
+  trace_.WorkerQuarantine(worker, msg.dead, static_cast<int>(reclaimed.size()));
 }
 
 void Server::HandleReadmit(Shard& shard, const ReadmitMsg& msg) {
   const int worker = msg.worker;
-  BM_CHECK_GE(worker, shard.worker_begin);
-  BM_CHECK_LT(worker, shard.worker_end);
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  if (shard.quarantined[local] == 0) {
+  if (!shard.core->Readmit(worker)) {
     return;  // never quarantined here: stale or duplicate message
   }
-  shard.quarantined[local] = 0;
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
   {
     std::lock_guard<std::mutex> lock(pipe.mu);
     pipe.quarantined = false;
   }
   metrics_.worker(worker).readmissions.fetch_add(1, std::memory_order_relaxed);
-  TrySchedule(shard, worker);
-}
-
-void Server::HandleRequeue(Shard& shard, RequeueMsg msg) {
-  RequeueReclaimed(shard, msg.task.worker, msg.task);
-}
-
-void Server::RequeueReclaimed(Shard& shard, int worker, const BatchedTask& task) {
-  const size_t local = static_cast<size_t>(worker - shard.worker_begin);
-  shard.outstanding[local]--;
-  BM_CHECK_GE(shard.outstanding[local], 0);
-  metrics_.worker(worker).requeued_tasks.fetch_add(1, std::memory_order_relaxed);
-  shard.scheduler->RequeueTask(task);
-}
-
-void Server::DonateAllStealable(Shard& shard) {
-  if (num_shards_ <= 1) {
-    return;
-  }
-  // Same-node peers first, so the forced migration respects numa_policy's
-  // node boundaries whenever a same-node shard exists.
-  std::vector<int> peers;
-  const int my_node = numa_on_ ? shard_node_[static_cast<size_t>(shard.id)] : -1;
-  for (int s = 0; s < num_shards_; ++s) {
-    if (s != shard.id && numa_on_ &&
-        shard_node_[static_cast<size_t>(s)] == my_node) {
-      peers.push_back(s);
-    }
-  }
-  for (int s = 0; s < num_shards_; ++s) {
-    if (s != shard.id &&
-        !(numa_on_ && shard_node_[static_cast<size_t>(s)] == my_node)) {
-      peers.push_back(s);
-    }
-  }
-  size_t next = 0;
-  for (;;) {
-    RequestState* state = PopStealable(shard);
-    if (state == nullptr) {
-      return;
-    }
-    MigrateOut(shard, state, peers[next % peers.size()]);
-    ++next;
-  }
+  // The refill Readmit formed goes out only now that the stager accepts
+  // tasks again.
+  Dispatch(*shard.core);
 }
 
 void Server::WatchdogLoop() {
@@ -1464,9 +951,9 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
         health.load(std::memory_order_relaxed) ==
             static_cast<uint8_t>(WorkerHealth::kDead)) {
       exec_threads_[static_cast<size_t>(worker)] =
-          std::thread([this, worker, owner_shard] {
+          std::thread([this, worker, owner_shard, respawned_at = NowMicros()] {
             TraceRecorder::SetThreadShard(owner_shard);
-            ExecLoop(worker);
+            ExecLoop(worker, respawned_at);
           });
       watch.respawned = true;
       metrics_.worker(worker).respawns.fetch_add(1, std::memory_order_relaxed);
@@ -1547,6 +1034,46 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
   }
 }
 
+BlockingQueue<Server::ManagerMsg>& Server::InboxOf(int worker) {
+  return shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]->inbox;
+}
+
+void Server::HandBack(BatchedTask task) {
+  const int worker = task.worker;
+  InboxOf(worker).Push(ManagerMsg{RequeueMsg{std::move(task)}});
+}
+
+void Server::FailWholeTask(BatchedTask task, int victim_entry) {
+  const int batch = task.BatchSize();
+  trace_.TaskFailed(task.id, task.type, task.worker, batch);
+  CompletionMsg msg;
+  msg.failed_entries.resize(static_cast<size_t>(batch));
+  for (int i = 0; i < batch; ++i) {
+    msg.failed_entries[static_cast<size_t>(i)] = i;
+  }
+  msg.victim_entry = victim_entry;
+  const int worker = task.worker;
+  msg.task = std::move(task);
+  InboxOf(worker).Push(ManagerMsg{std::move(msg)});
+}
+
+void Server::RetireTask(WorkerPipeline& pipe, std::unique_lock<std::mutex> lock,
+                        int64_t seq) {
+  // The max keeps a quarantine's splice — which may have published a
+  // higher executed_seq already — from moving backwards.
+  pipe.executed_seq = std::max(pipe.executed_seq, seq);
+  if (health_on_) {
+    pipe.inflight_valid = false;
+    pipe.inflight_seq = -1;
+  }
+  lock.unlock();
+  pipe.cv.notify_all();
+  if (health_on_) {
+    pipe.Beat(NowMicros());
+    pipe.busy_task_seq.store(-1, std::memory_order_release);
+  }
+}
+
 void Server::StageLoop(int worker) {
   SetCurrentThreadName("worker/" + std::to_string(worker) + "-stager");
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
@@ -1559,9 +1086,6 @@ void Server::StageLoop(int worker) {
     pipe.staging[1]->Prefault(size_t{1} << 20);
   }
   auto& queue = *task_queues_[static_cast<size_t>(worker)];
-  // Tasks a quarantined stream refuses go back to the owning shard.
-  auto& inbox = shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]
-                    ->inbox;
   // Stream seqs are consumed only when a task is *published* to `staged`:
   // a quarantine-aborted task is handed back without a seq, so the exec
   // thread's executed_seq never has to step over a hole.
@@ -1580,11 +1104,10 @@ void Server::StageLoop(int worker) {
         reclaim = pipe.quarantined;
       }
       if (reclaim) {
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
+        HandBack(std::move(wt->task));
         continue;
       }
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
+      pipe.Beat(NowMicros());
     }
 
     WorkerPipeline::StagedTask st;
@@ -1596,25 +1119,12 @@ void Server::StageLoop(int worker) {
     if (fault_injector_.ShouldFail(wt->task.id)) {
       st.skip = true;
       st.victim = fault_injector_.VictimEntry(wt->task.id, static_cast<int>(batch));
-      bool reclaim = false;
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        if (health_on_ && pipe.quarantined) {
-          reclaim = true;
-        } else {
-          for (const TaskEntry& entry : wt->task.entries) {
-            pipe.failed_produced.insert(HazardKey(entry.request, entry.node));
-          }
-          st.wt = std::move(*wt);
-          pipe.staged.push_back(std::move(st));
-          ++next_seq;
-        }
+      st.wt = std::move(*wt);
+      if (pipe.PublishSkipped(st)) {
+        ++next_seq;
+      } else {
+        HandBack(std::move(st.wt.task));
       }
-      if (reclaim) {
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-        continue;
-      }
-      pipe.cv.notify_all();
       continue;
     }
 
@@ -1653,7 +1163,7 @@ void Server::StageLoop(int worker) {
       });
       if (health_on_ && pipe.quarantined) {
         lock.unlock();
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
+        HandBack(std::move(wt->task));
         continue;
       }
       if (!pipe.failed_produced.empty()) {
@@ -1681,25 +1191,12 @@ void Server::StageLoop(int worker) {
       // gather or execute. Blame stays with the original fault.
       st.skip = true;
       st.poisoned.clear();
-      bool reclaim = false;
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        if (health_on_ && pipe.quarantined) {
-          reclaim = true;
-        } else {
-          for (const TaskEntry& entry : wt->task.entries) {
-            pipe.failed_produced.insert(HazardKey(entry.request, entry.node));
-          }
-          st.wt = std::move(*wt);
-          pipe.staged.push_back(std::move(st));
-          ++next_seq;
-        }
+      st.wt = std::move(*wt);
+      if (pipe.PublishSkipped(st)) {
+        ++next_seq;
+      } else {
+        HandBack(std::move(st.wt.task));
       }
-      if (reclaim) {
-        inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
-        continue;
-      }
-      pipe.cv.notify_all();
       continue;
     }
 
@@ -1713,8 +1210,7 @@ void Server::StageLoop(int worker) {
     }
     trace_.GatherEnd(wt->task.id, wt->task.type, worker, wt->task.BatchSize());
     if (health_on_) {
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
+      pipe.Beat(NowMicros());
     }
 
     if (my_node >= 0) {
@@ -1776,7 +1272,7 @@ void Server::StageLoop(int worker) {
       }
     }
     if (reclaim) {
-      inbox.Push(ManagerMsg{RequeueMsg{std::move(wt->task)}});
+      HandBack(std::move(wt->task));
       continue;
     }
     pipe.cv.notify_all();
@@ -1788,7 +1284,7 @@ void Server::StageLoop(int worker) {
   pipe.cv.notify_all();
 }
 
-void Server::ExecLoop(int worker) {
+void Server::ExecLoop(int worker, double idle_since) {
   SetCurrentThreadName("worker/" + std::to_string(worker) + "-exec");
   // Pin before constructing the pool: spawned pool threads inherit this
   // thread's affinity mask, so one pin covers the whole intra-task pool.
@@ -1818,9 +1314,22 @@ void Server::ExecLoop(int worker) {
   BM_CHECK(queue != nullptr);
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
   // Completions go to the inbox of the shard that owns this worker.
-  auto& inbox = shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]
-                    ->inbox;
-  double idle_accum = 0.0;
+  auto& inbox = InboxOf(worker);
+  // Closes the open idle interval (idle_since >= 0): the gap the watermark
+  // protocol exists to shrink, when this worker's cores had nothing staged
+  // to run. Accumulated onto the pipeline's total so a respawned thread
+  // keeps its predecessor's share.
+  const auto close_idle = [&] {
+    if (idle_since < 0.0) {
+      return;
+    }
+    const double idle_end = NowMicros();
+    pipe.idle_micros.store(
+        pipe.idle_micros.load(std::memory_order_relaxed) + (idle_end - idle_since),
+        std::memory_order_relaxed);
+    trace_.WorkerIdle(idle_since, idle_end, worker);
+    idle_since = -1.0;
+  };
   const bool chaos_on = fault_injector_.worker_chaos_enabled();
   if (health_on_) {
     pipe.exec_alive.store(1);
@@ -1831,16 +1340,13 @@ void Server::ExecLoop(int worker) {
     {
       std::unique_lock<std::mutex> lock(pipe.mu);
       if (pipe.staged.empty() && !pipe.stage_done) {
-        // The gap the watermark protocol exists to shrink: nothing staged,
-        // so this worker's cores go idle until the manager round-trips a
-        // refill (or the stager finishes a gather).
-        const double idle_begin = NowMicros();
+        // Nothing staged: this worker idles until the manager round-trips
+        // a refill (or the stager finishes a gather).
+        if (idle_since < 0.0) {
+          idle_since = NowMicros();
+        }
         pipe.cv.wait(lock,
                      [&] { return !pipe.staged.empty() || pipe.stage_done; });
-        const double idle_end = NowMicros();
-        idle_accum += idle_end - idle_begin;
-        pipe.idle_micros.store(idle_accum, std::memory_order_relaxed);
-        trace_.WorkerIdle(idle_begin, idle_end, worker);
       }
       if (pipe.staged.empty()) {
         break;  // stage_done and fully drained
@@ -1848,6 +1354,7 @@ void Server::ExecLoop(int worker) {
       st = std::move(pipe.staged.front());
       pipe.staged.pop_front();
     }
+    close_idle();
 
     const int batch = st.wt.task.BatchSize();
 
@@ -1857,8 +1364,7 @@ void Server::ExecLoop(int worker) {
       // copy (under mu) is the manager's handle for reclaiming the task if
       // this thread dies inside it.
       const double now = NowMicros();
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(now, std::memory_order_relaxed);
+      pipe.Beat(now);
       pipe.busy_since.store(now, std::memory_order_relaxed);
       pipe.busy_type.store(static_cast<int>(st.wt.task.type),
                            std::memory_order_relaxed);
@@ -1900,34 +1406,11 @@ void Server::ExecLoop(int worker) {
       // Injected fault or pure cascade: nothing was gathered and nothing
       // executes. Advance the stream (the staging arena was never touched;
       // its keys are already in failed_produced) and report the failure.
-      // The max keeps a quarantine's splice — which may have published a
-      // higher executed_seq already — from moving backwards.
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.executed_seq = std::max(pipe.executed_seq, st.seq);
-        if (health_on_) {
-          pipe.inflight_valid = false;
-          pipe.inflight_seq = -1;
-        }
-      }
-      pipe.cv.notify_all();
-      if (health_on_) {
-        pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-        pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-        pipe.busy_task_seq.store(-1, std::memory_order_release);
-      }
-      trace_.TaskFailed(st.wt.task.id, st.wt.task.type, worker, batch);
+      RetireTask(pipe, std::unique_lock<std::mutex>(pipe.mu), st.seq);
       if (st.victim >= 0) {
         tasks_failed_.fetch_add(1);  // cascades count the original fault only
       }
-      CompletionMsg msg;
-      msg.task = std::move(st.wt.task);
-      msg.failed_entries.resize(static_cast<size_t>(batch));
-      for (int i = 0; i < batch; ++i) {
-        msg.failed_entries[static_cast<size_t>(i)] = i;
-      }
-      msg.victim_entry = st.victim;
-      inbox.Push(ManagerMsg{std::move(msg)});
+      FailWholeTask(std::move(st.wt.task), st.victim);
       continue;
     }
 
@@ -1968,35 +1451,15 @@ void Server::ExecLoop(int worker) {
     pipe.staging[st.seq & 1]->Reset();
 
     if (exec_threw) {
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        for (const TaskEntry& entry : st.wt.task.entries) {
-          const uint64_t key = HazardKey(entry.request, entry.node);
-          pipe.unscattered.erase(key);
-          pipe.failed_produced.insert(key);
-        }
-        pipe.executed_seq = std::max(pipe.executed_seq, st.seq);
-        if (health_on_) {
-          pipe.inflight_valid = false;
-          pipe.inflight_seq = -1;
-        }
+      std::unique_lock<std::mutex> lock(pipe.mu);
+      for (const TaskEntry& entry : st.wt.task.entries) {
+        const uint64_t key = HazardKey(entry.request, entry.node);
+        pipe.unscattered.erase(key);
+        pipe.failed_produced.insert(key);
       }
-      pipe.cv.notify_all();
-      if (health_on_) {
-        pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-        pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-        pipe.busy_task_seq.store(-1, std::memory_order_release);
-      }
-      trace_.TaskFailed(st.wt.task.id, st.wt.task.type, worker, batch);
+      RetireTask(pipe, std::move(lock), st.seq);
       tasks_failed_.fetch_add(1);
-      CompletionMsg msg;
-      msg.task = std::move(st.wt.task);
-      msg.failed_entries.resize(static_cast<size_t>(batch));
-      for (int i = 0; i < batch; ++i) {
-        msg.failed_entries[static_cast<size_t>(i)] = i;
-      }
-      msg.victim_entry = -1;
-      inbox.Push(ManagerMsg{std::move(msg)});
+      FailWholeTask(std::move(st.wt.task), /*victim_entry=*/-1);
       continue;
     }
 
@@ -2013,7 +1476,7 @@ void Server::ExecLoop(int worker) {
       }
     }
     {
-      std::lock_guard<std::mutex> lock(pipe.mu);
+      std::unique_lock<std::mutex> lock(pipe.mu);
       for (size_t i = 0; i < st.wt.task.entries.size(); ++i) {
         if (st.poisoned.empty() || st.poisoned[i] == 0) {
           const TaskEntry& entry = st.wt.task.entries[i];
@@ -2022,21 +1485,11 @@ void Server::ExecLoop(int worker) {
         // Poisoned keys were never in unscattered; they stay poisoned in
         // failed_produced until purged by unpark or finalization.
       }
-      pipe.executed_seq = std::max(pipe.executed_seq, st.seq);
-      if (health_on_) {
-        pipe.inflight_valid = false;
-        pipe.inflight_seq = -1;
-      }
-    }
-    pipe.cv.notify_all();
-    if (health_on_) {
-      pipe.hb_epoch.fetch_add(1, std::memory_order_relaxed);
-      pipe.hb_stamp.store(NowMicros(), std::memory_order_relaxed);
-      pipe.busy_task_seq.store(-1, std::memory_order_release);
+      RetireTask(pipe, std::move(lock), st.seq);
     }
     trace_.ExecEnd(st.wt.task.id, st.wt.task.type, worker, batch);
     tasks_executed_.fetch_add(1);
-    if (online_cost_model_ != nullptr && options_.batch_policy.calibrate) {
+    if (online_cost_model_ != nullptr) {
       // Calibration sample: measured execute+scatter span for this
       // (type, batch). The EWMA smooths scheduling noise; every
       // refit_interval samples the model re-fits the type's cost curve.
@@ -2055,6 +1508,7 @@ void Server::ExecLoop(int worker) {
     inbox.Push(ManagerMsg{std::move(msg)});
   }
 
+  close_idle();
   queue.reset();
   if (health_on_) {
     pipe.exec_alive.store(2);

@@ -3,14 +3,15 @@
 //
 // Manager shards (see DESIGN.md "Sharded manager"): scheduler state is
 // partitioned into ServerOptions::num_shards independent shards. Each
-// shard owns a RequestProcessor + Scheduler, a contiguous slice of the
-// workers, its own completion inbox, deadline heap and manager loop, so
-// arrival handling + Algorithm-1 scheduling + completion processing scale
-// past one dispatcher thread. Arrivals are routed by request id; a shard
-// whose workers idle with no compatible ready work steals not-yet-
-// scheduled requests from its peers (whole-request stealing, so the
-// per-stream FIFO pinning invariant is preserved by construction: a
-// stolen request has nothing pinned and re-pins to the thief's workers).
+// shard is a ShardCore (src/core/shard_core.h) — the same manager policy
+// SimEngine drives in virtual time — plus the inbox and manager thread
+// that drive it here, so arrival handling + Algorithm-1 scheduling +
+// completion processing scale past one dispatcher thread. Arrivals are
+// routed by request id; a starved shard sends its peers one hunger notice,
+// and a peer with surplus donates a not-yet-scheduled request
+// (whole-request migration, at most once per request, so the per-stream
+// FIFO pinning invariant is preserved by construction: a migrated request
+// has nothing pinned and re-pins to the adopter's workers).
 // num_shards = 1 reproduces the single-manager behaviour exactly.
 //
 // Per-worker thread pairs (standing in for the paper's per-GPU workers)
@@ -52,7 +53,7 @@
 // (kCancelled), and failed task executions (see FaultInjector) terminate
 // the blamed victim with kFailed while innocent co-batched requests are
 // transparently re-queued and still complete kOk, bitwise identical to a
-// fault-free run. All of these hold per shard and across steals.
+// fault-free run. All of these hold per shard and across migrations.
 
 #ifndef SRC_CORE_SERVER_H_
 #define SRC_CORE_SERVER_H_
@@ -65,10 +66,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -79,6 +78,7 @@
 #include "src/core/metrics.h"
 #include "src/core/request_processor.h"
 #include "src/core/scheduler.h"
+#include "src/core/shard_core.h"
 #include "src/device/device_backend.h"
 #include "src/graph/cell_registry.h"
 #include "src/obs/trace.h"
@@ -138,13 +138,11 @@ class Server {
   // on the submitter's thread when admission rejects it (kRejected).
   using ResponseFn = batchmaker::ResponseFn;
 
-  // Early-termination predicate, evaluated on the manager thread after each
-  // of the request's nodes completes. Returning true cancels all of the
-  // request's not-yet-scheduled nodes (e.g. stop decoding once the token
-  // output of `completed_node` is <eos>). Richer than
-  // SubmitOptions::terminate_after_node, which declares the terminating
-  // node up front.
-  using TerminationFn = std::function<bool(const RequestState&, int completed_node)>;
+  // Content-dependent early-termination predicate (src/core/shard_core.h),
+  // evaluated on the manager thread after each of the request's nodes
+  // completes. Richer than SubmitOptions::terminate_after_node, which
+  // declares the terminating node up front.
+  using TerminationFn = batchmaker::TerminationFn;
 
   Server(const CellRegistry* registry, ServerOptions options = {});
   ~Server();
@@ -197,8 +195,9 @@ class Server {
   int64_t TasksFailed() const { return tasks_failed_.load(); }
   // Effective shard count (num_shards clamped to [1, num_workers]).
   int num_shards() const { return num_shards_; }
-  // Requests migrated across shards by the stealing protocol.
-  int64_t StealsExecuted() const { return steals_.load(); }
+  // Requests migrated across shards (donated to a hungry shard, or forced
+  // off a fully quarantined one).
+  int64_t StealsExecuted() const { return metrics_.TotalSteals(); }
 
   // Total microseconds worker `worker`'s execution thread spent with
   // nothing to execute (waiting for the manager to refill its stream or
@@ -271,20 +270,6 @@ class Server {
   int64_t RemoteGatherBytes() const { return metrics_.TotalRemoteGatherBytes(); }
 
  private:
-  struct ArrivalMsg {
-    RequestId id;
-    CellGraph graph;
-    std::vector<Tensor> externals;
-    std::vector<ValueRef> outputs_wanted;
-    ResponseFn on_response;
-    TerminationFn terminate;
-    double arrival_micros;
-    // Per-request SLA deadline (SubmitOptions::deadline_micros, verbatim):
-    // 0 = none, negative opts out of shedding. The engine queue timeout is
-    // stamped onto the RequestState separately at arrival.
-    double deadline_micros;
-    int priority = 0;
-  };
   struct CompletionMsg {
     BatchedTask task;
     // Indices into task.entries that did not execute (injected fault or
@@ -296,26 +281,6 @@ class Server {
   };
   struct CancelMsg {
     RequestId id;
-  };
-  // ---- Cross-shard stealing protocol (DESIGN.md "Sharded manager") ----
-  // A thief with an idle worker and no compatible ready work asks a victim
-  // shard for a never-scheduled request...
-  struct StealRequestMsg {
-    int thief;
-  };
-  // ...the victim either migrates one over (whole RequestState plus the
-  // submission bookkeeping) or denies; a denied thief tries the next
-  // victim, and the denying victim remembers the hungry thief so it can
-  // donate surplus later without being asked again.
-  struct MigrateMsg {
-    std::unique_ptr<RequestState> state;
-    std::vector<ValueRef> outputs_wanted;
-    ResponseFn on_response;
-    TerminationFn terminate;  // null if none registered
-    int from_shard;
-  };
-  struct StealDenyMsg {
-    int victim;
   };
   // ---- Worker failure domains (DESIGN.md "Worker failure domains") ----
   // The watchdog never touches shard state directly: it asks the owning
@@ -334,8 +299,9 @@ class Server {
   struct RequeueMsg {
     BatchedTask task;
   };
-  using ManagerMsg = std::variant<ArrivalMsg, CompletionMsg, CancelMsg,
-                                  StealRequestMsg, MigrateMsg, StealDenyMsg,
+  // PeerMsg carries the cross-shard traffic: hunger notices and migrations
+  // (src/core/shard_core.h).
+  using ManagerMsg = std::variant<ShardArrival, CompletionMsg, CancelMsg, PeerMsg,
                                   QuarantineMsg, ReadmitMsg, RequeueMsg>;
 
   // A task plus the request states it touches, resolved by the manager so
@@ -348,58 +314,43 @@ class Server {
   // Per-worker pipeline state shared by the staging and execution threads
   // (defined in server.cc).
   struct WorkerPipeline;
-  // One manager shard: processor, scheduler, inbox, deadline heap, steal
-  // state and its slice of the workers (defined in server.cc).
+  // One manager shard: its ShardCore, inbox and manager thread (defined in
+  // server.cc).
   struct Shard;
 
   void ManagerLoop(Shard& shard);
   void HandleMsg(Shard& shard, ManagerMsg msg);
-  void StageLoop(int worker);
-  void ExecLoop(int worker);
-  void HandleArrival(Shard& shard, ArrivalMsg msg);
-  void HandleCompletion(Shard& shard, CompletionMsg msg);
-  void HandleCancel(Shard& shard, CancelMsg msg);
-  void HandleStealRequest(Shard& shard, const StealRequestMsg& msg);
-  void HandleMigrate(Shard& shard, MigrateMsg msg);
-  void HandleStealDeny(Shard& shard, const StealDenyMsg& msg);
+  // Pushes the tasks the shard's core formed onto their workers' streams.
+  void Dispatch(ShardCore& core);
   // ---- Worker failure domains (shard manager thread only) ----
   // Pulls `msg.worker` from scheduling and reclaims its undone stream:
   // queued tasks, staged-but-unexecuted tasks, and (dead only) the task
   // the exec thread died inside, all requeued via Scheduler::RequeueTask.
   void HandleQuarantine(Shard& shard, const QuarantineMsg& msg);
   void HandleReadmit(Shard& shard, const ReadmitMsg& msg);
-  void HandleRequeue(Shard& shard, RequeueMsg msg);
-  // Requeues one reclaimed task (outstanding accounting + RequeueTask).
-  void RequeueReclaimed(Shard& shard, int worker, const BatchedTask& task);
-  // When every worker of `shard` is quarantined, pushes all stealable
-  // requests to healthy peer shards (same-NUMA-node peers first).
-  void DonateAllStealable(Shard& shard);
   // Watchdog thread: samples worker heartbeats every
   // health.check_interval_micros, classifies, quarantines, respawns dead
   // exec threads, and probes for re-admission with exponential backoff.
   void WatchdogLoop();
   // One watchdog pass over one worker (split out for clarity).
   void WatchdogCheckWorker(int worker, double now_micros);
-  // Pops the lowest-priority, oldest stealable (= never-scheduled, still
-  // kOk) request of `shard`, or null. Lazily discards stale candidates.
-  RequestState* PopStealable(Shard& shard);
-  // Extracts `state` from `victim` and ships it to shard `thief`.
-  void MigrateOut(Shard& victim, RequestState* state, int thief);
-  // Starts a steal round if some owned worker idles with no compatible
-  // ready work and no round is already pending.
-  void MaybeInitiateSteal(Shard& shard);
-  // Pushes surplus stealable requests to shards whose steal requests this
-  // shard denied earlier, while its own workers are saturated.
-  void TryDonate(Shard& shard);
-  // Sheds every deadline-heap request whose deadline passed and that has
-  // not begun executing (shard manager thread only).
-  void ExpireDeadlines(Shard& shard, double now_micros);
-  // Lazily pops heap entries whose request finished, migrated away or
-  // began executing, so the manager's wake-up wait is never computed from
-  // a dead heap top (shard manager thread only).
-  void PruneDeadlines(Shard& shard);
-  void TrySchedule(Shard& shard, int worker);
-  void TryRefillWorkers(Shard& shard);
+
+  // ---- Worker threads ----
+  void StageLoop(int worker);
+  // `idle_since` opens the thread's first idle interval: Start's instant,
+  // or the respawn instant for a replacement thread.
+  void ExecLoop(int worker, double idle_since);
+  // The inbox of the shard that owns `worker`.
+  BlockingQueue<ManagerMsg>& InboxOf(int worker);
+  // Hands a task a quarantined worker will not run back to its shard.
+  void HandBack(BatchedTask task);
+  // Reports every entry of `task` failed; `victim_entry` is the entry
+  // blamed for an injected fault, -1 for none.
+  void FailWholeTask(BatchedTask task, int victim_entry);
+  // Stream tail of one task (executed, failed or skipped), entered with
+  // the pipeline's mutex held: publishes `seq` as executed, drops the
+  // in-flight copy, wakes the stager and releases the busy marker.
+  void RetireTask(WorkerPipeline& pipe, std::unique_lock<std::mutex> lock, int64_t seq);
   // Validation half of Submit; returns an error description or empty.
   std::string ValidateSubmission(const CellGraph& graph,
                                  const std::vector<Tensor>& externals,
@@ -480,7 +431,6 @@ class Server {
   std::atomic<RequestId> next_request_id_{1};
   std::atomic<int64_t> tasks_executed_{0};
   std::atomic<int64_t> tasks_failed_{0};
-  std::atomic<int64_t> steals_{0};
   std::atomic<size_t> unfinished_requests_{0};
   std::atomic<bool> started_{false};
   std::atomic<bool> shutdown_{false};

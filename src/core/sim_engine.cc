@@ -10,11 +10,7 @@ namespace batchmaker {
 
 SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
                      SimEngineOptions options)
-    : registry_(registry),
-      cost_model_(cost_model),
-      pipeline_depth_(options.pipeline_depth),
-      queue_timeout_micros_(options.admission.queue_timeout_micros),
-      trace_([this] { return events_.Now(); }) {
+    : trace_([this] { return events_.Now(); }) {
   BM_CHECK(registry != nullptr);
   BM_CHECK(cost_model != nullptr);
   // Resolve the virtual-time device (DESIGN.md "Device backend API"):
@@ -32,12 +28,12 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
   BM_CHECK(backend_->caps().virtual_time)
       << "backend '" << backend_name
       << "' executes real compute; drive it through Server, not SimEngine";
-  BM_CHECK_GT(pipeline_depth_, 0);
+  BM_CHECK_GT(options.pipeline_depth, 0);
   BM_CHECK_GT(options.num_workers, 0);
   BM_CHECK_GT(options.num_shards, 0);
   num_shards_ = std::min(options.num_shards, options.num_workers);
-  slack_on_ = options.batch_policy.slack_batching &&
-              options.batch_policy.max_delay_micros > 0.0;
+  const bool slack_on = options.batch_policy.slack_batching &&
+                        options.batch_policy.max_delay_micros > 0.0;
   if (options.enable_tracing) {
     trace_.Enable();
   }
@@ -45,63 +41,51 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
 
   shard_of_worker_.assign(static_cast<size_t>(options.num_workers), 0);
   for (int s = 0; s < num_shards_; ++s) {
-    auto shard = std::make_unique<SimShard>();
-    SimShard* sh = shard.get();
-    sh->id = s;
-    sh->worker_begin = s * options.num_workers / num_shards_;
-    sh->worker_end = (s + 1) * options.num_workers / num_shards_;
-    BM_CHECK_LT(sh->worker_begin, sh->worker_end);
-    for (int w = sh->worker_begin; w < sh->worker_end; ++w) {
-      shard_of_worker_[static_cast<size_t>(w)] = s;
-    }
-    sh->processor = std::make_unique<RequestProcessor>(
-        registry,
-        /*on_subgraph_ready=*/
-        [sh](Subgraph* sg) { sh->scheduler->EnqueueSubgraph(sg); },
-        /*on_request_complete=*/
-        [this, sh](RequestState* state) {
-          sh->stealable.erase({state->priority, state->id});
-          if (state->status == RequestStatus::kShed) {
-            metrics_.RecordDropped();
-            trace_.RequestDrop(state->id);
-            return;
-          }
-          RequestRecord record;
-          record.id = state->id;
-          record.arrival_micros = state->arrival_micros;
-          record.exec_start_micros = state->ExecStartMicros();
-          record.completion_micros = events_.Now();
-          record.num_nodes = state->graph.NumNodes();
-          metrics_.Record(record);
-          metrics_.shard(sh->id).completions.fetch_add(1, std::memory_order_relaxed);
-          trace_.RequestComplete(state->id, state->ExecStartMicros());
-        });
-    sh->scheduler =
-        std::make_unique<Scheduler>(registry, sh->processor.get(), options.scheduler);
-    sh->scheduler->set_trace(&trace_);
-    if (slack_on_) {
+    ShardConfig config;
+    config.id = s;
+    config.num_shards = num_shards_;
+    config.worker_begin = s * options.num_workers / num_shards_;
+    config.worker_end = (s + 1) * options.num_workers / num_shards_;
+    config.pipeline_depth = options.pipeline_depth;
+    config.queue_timeout_micros = options.admission.queue_timeout_micros;
+    config.scheduler = options.scheduler;
+    if (slack_on) {
       // The simulator's device model *is* the cost model, so the policy
       // sees exact costs — no online calibration needed (or wanted: the
       // virtual-time paths must never observe anything but the model).
-      sh->scheduler->set_cost_model(cost_model_);
-      sh->scheduler->set_batch_policy(options.batch_policy);
+      config.slack_cost_model = cost_model;
+      config.batch_policy = options.batch_policy;
     }
-    // Task ids partition across shards (seed s, stride S) so trace ids stay
-    // globally unique; with one shard this is the identity numbering.
-    sh->scheduler->SetTaskIdSpace(static_cast<uint64_t>(s),
-                                  static_cast<uint64_t>(num_shards_));
-    shards_.push_back(std::move(shard));
+    for (int w = config.worker_begin; w < config.worker_end; ++w) {
+      shard_of_worker_[static_cast<size_t>(w)] = s;
+    }
+    ShardCore::Driver driver;
+    driver.now = [this] { return events_.Now(); };
+    driver.send = [this](int to_shard, PeerMsg msg) {
+      // Delivered at the current instant, after every event already queued
+      // for it: the receiving shard handles it in its own step, as the
+      // Server's manager handles an inbox message.
+      auto shared = std::make_shared<PeerMsg>(std::move(msg));
+      events_.ScheduleAt(events_.Now(), [this, to_shard, shared] {
+        ShardCore& core = *shards_[static_cast<size_t>(to_shard)];
+        core.Receive(std::move(*shared));
+        core.Pass();
+        Settle(to_shard);
+      });
+    };
+    shards_.push_back(std::make_unique<ShardCore>(registry, std::move(config),
+                                                  std::move(driver), &metrics_, &trace_));
   }
+  wakes_.resize(static_cast<size_t>(num_shards_));
   pool_ = std::make_unique<SimWorkerPool>(options.num_workers, &events_,
                                           backend_.get());
 
   pool_->set_on_task_start([this](const BatchedTask& task) {
     // A task's entries all belong to the shard that owns its worker: tasks
     // are formed by that shard's scheduler out of its own processor.
-    SimShard& sh = *shards_[static_cast<size_t>(
-        shard_of_worker_[static_cast<size_t>(task.worker)])];
+    ShardCore& core = ShardOfWorker(task.worker);
     for (const TaskEntry& entry : task.entries) {
-      RequestState* state = sh.processor->FindRequest(entry.request);
+      RequestState* state = core.processor().FindRequest(entry.request);
       if (state != nullptr) {
         state->MarkExecStarted(events_.Now());
       }
@@ -110,79 +94,78 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
   });
   pool_->set_on_task_done([this](const BatchedTask& task) {
     trace_.ExecEnd(task.id, task.type, task.worker, task.BatchSize());
-    SimShard& sh = *shards_[static_cast<size_t>(
-        shard_of_worker_[static_cast<size_t>(task.worker)])];
-    sh.scheduler->OnTaskCompleted(task);
-    // Early termination: if a terminating node just completed, cancel the
-    // request's remaining cells (no-op if the request already finished).
-    for (const TaskEntry& entry : task.entries) {
-      const auto it = terminate_after_.find(entry.request);
-      if (it != terminate_after_.end() && it->second == entry.node) {
-        sh.scheduler->CancelRequest(entry.request);
-        terminate_after_.erase(it);
-      }
-    }
-    // Completion may have released follow-up subgraphs; any worker below
-    // the watermark should pick that work up now rather than wait for its
-    // own idle event.
-    TryRefillWorkers();
+    ShardCore& core = ShardOfWorker(task.worker);
+    core.Complete(task);
+    // The targeted refill starts before the pass sheds anything, as on the
+    // Server, where it leaves before the manager's next message.
+    Dispatch(core);
+    core.Pass();
+    Settle(core.id());
   });
-  pool_->set_on_idle([this](int worker) {
-    TrySchedule(*shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])],
-                worker);
-    // The schedule above may have *deferred* a type instead of launching;
-    // without a wake event the event queue could drain with the batch
-    // still waiting.
-    ArmLaunchWakeups();
-  });
+}
+
+ShardCore& SimEngine::ShardOfWorker(int worker) {
+  return *shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])];
 }
 
 RequestId SimEngine::SubmitAt(double at_micros, CellGraph graph, SubmitOptions opts) {
   const RequestId id = next_request_id_++;
+  auto arrival = std::make_shared<ShardArrival>();
+  arrival->id = id;
+  arrival->graph = std::move(graph);
+  arrival->arrival_micros = at_micros;
+  arrival->deadline_micros = opts.deadline_micros;
+  arrival->priority = opts.priority;
   if (opts.terminate_after_node >= 0) {
-    BM_CHECK_LT(opts.terminate_after_node, graph.NumNodes());
-    terminate_after_.emplace(id, opts.terminate_after_node);
+    BM_CHECK_LT(opts.terminate_after_node, arrival->graph.NumNodes());
+    arrival->terminate = TerminateAfterNode(opts.terminate_after_node);
   }
   // Arrival routing: requests spread across shards by id.
-  SimShard* home =
-      shards_[static_cast<size_t>(id % static_cast<RequestId>(num_shards_))].get();
-  // CellGraph is moved into the closure; the arrival event admits it.
-  auto shared_graph = std::make_shared<CellGraph>(std::move(graph));
-  events_.ScheduleAt(at_micros, [this, home, id, at_micros, shared_graph,
-                                 priority = opts.priority,
-                                 sla_deadline = opts.deadline_micros] {
-    trace_.RequestArrival(at_micros, id, shared_graph->NumNodes());
-    RequestState* state =
-        home->processor->AddRequest(id, std::move(*shared_graph), at_micros);
-    state->priority = priority;
-    // The per-request SLA deadline and the engine queue timeout stay
-    // distinct (same semantics as the Server): shedding fires on whichever
-    // is tighter, the slack policy reasons about the SLA deadline only.
-    state->deadline_micros = sla_deadline;
-    state->queue_timeout_micros = queue_timeout_micros_;
-    const double shed_deadline = state->ShedDeadlineMicros();
-    // Every request starts never-scheduled, hence stealable.
-    home->stealable.insert({priority, id});
-    // Kick scheduling in a separate same-time event so that all arrivals
-    // with identical timestamps are admitted before any task is formed —
-    // the real server likewise drains its arrival queue before scheduling.
-    events_.ScheduleAt(at_micros, [this] { TryRefillWorkers(); });
-    if (shed_deadline > 0.0) {
-      events_.ScheduleAfter(shed_deadline, [this, id] {
-        // The request may have migrated off its home shard; shed it
-        // wherever it lives now.
-        SimShard* owner = nullptr;
-        RequestState* s = FindRequestAnywhere(id, &owner);
-        if (s != nullptr && !s->ExecStarted()) {
-          // Shed before any cell started executing (same rule the server's
-          // deadline heap applies).
-          s->MarkTerminal(RequestStatus::kShed);
-          owner->scheduler->CancelRequest(id);
-        }
-      });
-    }
+  const int home = static_cast<int>(id % static_cast<RequestId>(num_shards_));
+  events_.ScheduleAt(at_micros, [this, home, arrival] {
+    trace_.RequestArrival(arrival->arrival_micros, arrival->id,
+                          arrival->graph.NumNodes());
+    shards_[static_cast<size_t>(home)]->Admit(std::move(*arrival));
+    // Run the pass in a separate same-time event so that all arrivals with
+    // identical timestamps are admitted before any task is formed — the
+    // real server likewise drains its inbox before its pass.
+    events_.ScheduleAt(events_.Now(), [this, home] {
+      shards_[static_cast<size_t>(home)]->Pass();
+      Settle(home);
+    });
   });
   return id;
+}
+
+void SimEngine::Dispatch(ShardCore& core) {
+  for (BatchedTask& task : core.formed()) {
+    const int worker = task.worker;
+    pool_->Submit(worker, std::move(task));
+  }
+  core.formed().clear();
+}
+
+void SimEngine::Settle(int shard) {
+  ShardCore& core = *shards_[static_cast<size_t>(shard)];
+  Dispatch(core);
+  const double wake = core.NextWakeMicros();
+  WakeTimer& timer = wakes_[static_cast<size_t>(shard)];
+  if (wake >= timer.at) {
+    return;  // nothing due, or an event no later is already armed
+  }
+  timer.at = wake;
+  const uint64_t generation = ++timer.generation;
+  // A passed wake (a launch hint that expired while every stream was full)
+  // fires at the current instant, as the Server's zero-length wait does.
+  events_.ScheduleAt(std::max(wake, events_.Now()), [this, shard, generation] {
+    WakeTimer& armed = wakes_[static_cast<size_t>(shard)];
+    if (armed.generation != generation) {
+      return;  // superseded by an earlier wake
+    }
+    armed.at = std::numeric_limits<double>::infinity();
+    shards_[static_cast<size_t>(shard)]->Wake();
+    Settle(shard);
+  });
 }
 
 void SimEngine::Run(double deadline_micros) {
@@ -196,7 +179,7 @@ void SimEngine::Run(double deadline_micros) {
 size_t SimEngine::NumActiveRequests() const {
   size_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->processor->NumActiveRequests();
+    total += shard->processor().NumActiveRequests();
   }
   return total;
 }
@@ -204,7 +187,7 @@ size_t SimEngine::NumActiveRequests() const {
 int64_t SimEngine::TotalTasksFormed() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->scheduler->TotalTasksFormed();
+    total += shard->scheduler().TotalTasksFormed();
   }
   return total;
 }
@@ -212,130 +195,9 @@ int64_t SimEngine::TotalTasksFormed() const {
 int64_t SimEngine::TotalMigrations() const {
   int64_t total = 0;
   for (const auto& shard : shards_) {
-    total += shard->scheduler->TotalMigrations();
+    total += shard->scheduler().TotalMigrations();
   }
   return total;
-}
-
-RequestState* SimEngine::FindRequestAnywhere(RequestId id, SimShard** owner) {
-  for (auto& shard : shards_) {
-    RequestState* state = shard->processor->FindRequest(id);
-    if (state != nullptr) {
-      *owner = shard.get();
-      return state;
-    }
-  }
-  *owner = nullptr;
-  return nullptr;
-}
-
-RequestState* SimEngine::PopStealable(SimShard& shard) {
-  while (!shard.stealable.empty()) {
-    const auto it = shard.stealable.begin();
-    const RequestId id = it->second;
-    shard.stealable.erase(it);
-    RequestState* state = shard.processor->FindRequest(id);
-    if (state == nullptr || state->ever_scheduled ||
-        state->status != RequestStatus::kOk) {
-      continue;  // stale candidate
-    }
-    return state;
-  }
-  return nullptr;
-}
-
-bool SimEngine::StealInto(SimShard& thief) {
-  // Deterministic victim scan from the next shard up: the single-threaded
-  // event loop makes the whole steal (and hence the figures built on it)
-  // reproducible — this is the testable mirror of the Server's
-  // message-based protocol.
-  for (int i = 1; i < num_shards_; ++i) {
-    SimShard& victim = *shards_[static_cast<size_t>((thief.id + i) % num_shards_)];
-    RequestState* state = PopStealable(victim);
-    if (state == nullptr) {
-      continue;
-    }
-    const RequestId id = state->id;
-    victim.scheduler->DetachRequest(state);
-    std::unique_ptr<RequestState> owned = victim.processor->ReleaseRequest(id);
-    RequestState* adopted = thief.processor->AdoptRequest(std::move(owned));
-    thief.stealable.insert({adopted->priority, id});
-    ++steals_;
-    metrics_.shard(victim.id).steals_out.fetch_add(1, std::memory_order_relaxed);
-    metrics_.shard(thief.id).steals_in.fetch_add(1, std::memory_order_relaxed);
-    trace_.ShardSteal(id, victim.id, thief.id);
-    return true;
-  }
-  return false;
-}
-
-void SimEngine::TryRefillWorkers() {
-  // Watermark refill over the stream depth (queued + running), per shard.
-  // At the default depth 1 this is exactly the legacy "schedule when a
-  // worker is idle": QueueDepth(w) == 0 iff IsIdle(w) at event boundaries.
-  for (auto& shard : shards_) {
-    for (int w = shard->worker_begin; w < shard->worker_end; ++w) {
-      if (pool_->QueueDepth(w) < pipeline_depth_) {
-        TrySchedule(*shard, w);
-        if (!shard->scheduler->HasReadyWork()) {
-          break;
-        }
-      }
-    }
-  }
-  if (num_shards_ <= 1) {
-    ArmLaunchWakeups();
-    return;
-  }
-  // Steal pass: a shard whose worker sits empty with no compatible ready
-  // work pulls one never-scheduled request per empty worker from a peer
-  // (the same whole-request, virgin-only rule as the Server, so pinning is
-  // preserved by construction).
-  for (auto& shard : shards_) {
-    for (int w = shard->worker_begin; w < shard->worker_end; ++w) {
-      if (pool_->QueueDepth(w) != 0 || shard->scheduler->HasCompatibleReadyWork(w)) {
-        continue;
-      }
-      if (!StealInto(*shard)) {
-        ArmLaunchWakeups();
-        return;  // nothing stealable anywhere; later workers fare no better
-      }
-      TrySchedule(*shard, w);
-    }
-  }
-  ArmLaunchWakeups();
-}
-
-void SimEngine::ArmLaunchWakeups() {
-  if (!slack_on_) {
-    return;
-  }
-  const double now = events_.Now();
-  for (auto& shard : shards_) {
-    const double hint = shard->scheduler->NextLaunchMicros();
-    if (hint <= now || hint >= shard->armed_wake) {
-      continue;  // passed (next Schedule launches greedily) or already armed
-    }
-    SimShard* sh = shard.get();
-    sh->armed_wake = hint;
-    events_.ScheduleAt(hint, [this, sh, hint] {
-      if (sh->armed_wake == hint) {
-        sh->armed_wake = std::numeric_limits<double>::infinity();
-      }
-      TryRefillWorkers();
-      // A hint that passed without a launch (e.g. its nodes were pinned to
-      // a still-busy worker) must not re-arm a same-instant event; the
-      // deferral itself stays, so the next feasible Schedule launches.
-      sh->scheduler->ExpireLaunchHints(events_.Now());
-    });
-  }
-}
-
-void SimEngine::TrySchedule(SimShard& shard, int worker) {
-  std::vector<BatchedTask> tasks = shard.scheduler->Schedule(worker, events_.Now());
-  for (BatchedTask& task : tasks) {
-    pool_->Submit(worker, std::move(task));
-  }
 }
 
 }  // namespace batchmaker

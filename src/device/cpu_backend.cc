@@ -105,9 +105,7 @@ CpuBackend::CpuBackend(const CellRegistry* registry, Precision precision)
   BM_CHECK(registry != nullptr);
   caps_.real_compute = true;
   caps_.requires_gather = true;
-  caps_.max_pipeline_depth = 0;  // unbounded
   caps_.supports_numa_pinning = true;
-  caps_.supports_intra_task_pool = true;
   caps_.supports_watchdog = true;
   for (bool& p : caps_.supported_precisions) {
     p = true;  // runtime cpuid dispatch picks the kernel tier

@@ -71,9 +71,9 @@ struct GatheredBatch {
 };
 
 // Per-backend capability flags, consumed by the engines instead of
-// CPU-specific assumptions: the Server clamps its pipeline depth, gates
-// NUMA placement and the health watchdog, and skips the gather stage
-// entirely for backends that stage nothing.
+// CPU-specific assumptions: the Server gates NUMA placement and the health
+// watchdog, and skips the gather stage entirely for backends that stage
+// nothing.
 struct DeviceCaps {
   // Executes real kernels on real tensors (outputs are meaningful data).
   bool real_compute = false;
@@ -84,15 +84,9 @@ struct DeviceCaps {
   // When false the Server's staging thread skips GatherInputs (hazard
   // bookkeeping still runs — stream-order invariants are backend-agnostic).
   bool requires_gather = false;
-  // Deepest useful per-worker submission pipeline; 0 = unbounded. The
-  // Server clamps EngineOptions::pipeline_depth to this.
-  int max_pipeline_depth = 0;
   // Worker threads may be pinned to NUMA nodes and benefit from node-local
   // staging/scratch placement and weight replicas.
   bool supports_numa_pinning = false;
-  // The backend fans one task's work over an intra-task thread pool of
-  // DeviceQueueOptions::threads threads.
-  bool supports_intra_task_pool = false;
   // Execution makes heartbeat-visible progress, so the health watchdog's
   // hang classification is meaningful.
   bool supports_watchdog = false;
@@ -208,7 +202,8 @@ class DeviceArena {
 // worker's (already pinned) execution thread.
 struct DeviceQueueOptions {
   int worker = 0;
-  // Intra-task pool width (caps().supports_intra_task_pool backends).
+  // Intra-task pool width, for backends that fan one task's work over a
+  // thread pool (the CPU backend).
   int threads = 1;
   // Name prefix for threads the queue spawns (diagnostics).
   std::string thread_name_prefix;

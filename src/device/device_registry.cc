@@ -5,9 +5,6 @@
 #include "src/device/cpu_backend.h"
 #include "src/device/null_backend.h"
 #include "src/device/sim_backend.h"
-#ifdef CB_WITH_OPENCL
-#include "src/device/opencl_backend.h"
-#endif
 
 namespace batchmaker {
 
@@ -35,9 +32,6 @@ DeviceRegistry::DeviceRegistry() {
     }
     return std::make_unique<SimBackend>(config.cost_model);
   };
-#ifdef CB_WITH_OPENCL
-  factories_["opencl"] = CreateOpenClBackend;
-#endif
 }
 
 void DeviceRegistry::Register(const std::string& name, Factory factory) {

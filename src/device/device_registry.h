@@ -1,12 +1,11 @@
 // DeviceRegistry: name -> DeviceBackend factory, the one place
 // EngineOptions::backend is resolved.
 //
-// Builtin backends ("cpu", "null", "sim", and "opencl" when compiled with
-// -DCB_WITH_OPENCL=ON) self-register on first use; embedders may Register
-// additional backends before constructing an engine. Create returns null
-// for unknown names and for devices that are unavailable at runtime (e.g.
-// the OpenCL stub without an ICD) — engines turn that into a loud
-// construction failure, tests into a skip.
+// Builtin backends ("cpu", "null", "sim") self-register on first use;
+// embedders may Register additional backends before constructing an
+// engine. Create returns null for unknown names and for devices that are
+// unavailable at runtime (e.g. a builtin missing its required config) —
+// engines turn that into a loud construction failure, tests into a skip.
 
 #ifndef SRC_DEVICE_DEVICE_REGISTRY_H_
 #define SRC_DEVICE_DEVICE_REGISTRY_H_

@@ -1,6 +1,6 @@
 // Sharded-manager regression tests (DESIGN.md "Sharded manager").
 //
-// Three properties are under test. (1) Determinism: partitioning the
+// Four properties are under test. (1) Determinism: partitioning the
 // manager into shards — including cross-shard steals — must not perturb a
 // single output bit relative to the serial SyncEngine, at every
 // shards x workers x pipeline_depth combination. (2) Pinning: only
@@ -9,7 +9,9 @@
 // the same stealing policy runs single-threaded). (3) Robustness: the
 // PR 1-4 invariants — exactly one terminal callback per Submit, under
 // faults, cancels, deadlines and racing shutdown — hold per shard and
-// across steals. The stress test runs under TSan in CI.
+// across steals. (4) Liveness: at light load the stealing protocol neither
+// bounces requests between starved shards nor keeps an idle server busy.
+// The stress and liveness tests run under TSan and ASan in CI.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include <time.h>
 
 #include "src/core/server.h"
 #include "src/core/sim_engine.h"
@@ -495,6 +499,115 @@ TEST(ShardingTest, ConcurrentStressUnderShardingExactlyOneTerminalCallback) {
   EXPECT_EQ(server.metrics().NumRejected(), rejected);
   EXPECT_EQ(server.metrics().NumFailed(), failed);
   EXPECT_EQ(server.metrics().TotalSteals(), server.StealsExecuted());
+}
+
+// --- (4) Liveness at light load ---------------------------------------------
+
+constexpr int kChainLength = 24;
+
+// A compute-free server (the null device) with one worker per shard.
+ServerOptions NullDeviceOptions(int shards) {
+  ServerOptions options;
+  options.backend = "null";
+  options.num_workers = shards;
+  options.num_shards = shards;
+  return options;
+}
+
+Response SubmitZeroChain(Server& server, const LstmModel& model) {
+  std::vector<Tensor> xs(kChainLength, ExternalZeroVecTensor(4));
+  return server.SubmitAndWait(model.Unfold(kChainLength), MakeChainExternals(xs, 4),
+                              {ValueRef::Output(kChainLength - 1, 0)});
+}
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(ShardingTest, LightLoadStealsNeverExceedCompletedRequests) {
+  // Closed loops of 1-8 clients leave shards starved most of the time. Two
+  // starved shards once traded the same never-scheduled request back and
+  // forth (tens of thousands of steals in half a second, collapsing
+  // throughput); with hunger notices, surplus-only donation and one
+  // migration per request, steals are bounded by requests.
+  for (const int shards : {2, 4}) {
+    for (const int clients : {1, 4, 8}) {
+      TinyLstmFixture fix;
+      Server server(&fix.registry, NullDeviceOptions(shards));
+      server.Start();
+      const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+      std::vector<std::thread> loops;
+      for (int c = 0; c < clients; ++c) {
+        loops.emplace_back([&] {
+          while (std::chrono::steady_clock::now() < until) {
+            EXPECT_TRUE(SubmitZeroChain(server, fix.model).ok());
+          }
+        });
+      }
+      for (std::thread& t : loops) {
+        t.join();
+      }
+      server.Shutdown();
+      const int64_t completed = static_cast<int64_t>(server.metrics().NumCompleted());
+      EXPECT_GT(completed, 0);
+      EXPECT_LE(server.StealsExecuted(), completed)
+          << "shards " << shards << " clients " << clients;
+    }
+  }
+}
+
+TEST(ShardingTest, IdleShardedServerBurnsNoCpu) {
+  // After a drain, starved shards send each peer one hunger notice and then
+  // block; they used to deny each other's steal requests forever, keeping
+  // about one core busy on an idle server.
+  for (const int shards : {2, 4}) {
+    TinyLstmFixture fix;
+    Server server(&fix.registry, NullDeviceOptions(shards));
+    server.Start();
+    ASSERT_TRUE(SubmitZeroChain(server, fix.model).ok());
+    const double cpu_before = ProcessCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const double idle_cpu = ProcessCpuSeconds() - cpu_before;
+    server.Shutdown();
+    EXPECT_LT(idle_cpu, 0.05) << "shards " << shards;
+  }
+}
+
+TEST(ShardingTest, ClosedLoopSimStealsBoundedAndTimelineReproducible) {
+  // The virtual-time twin of the closed loop above: one client, two shards,
+  // each request sent the instant the previous one completed. Hunger
+  // notices and migrations travel as same-instant events, so the whole run
+  // is reproducible, and no request waits on a steal.
+  const auto run_once = [](std::vector<double>* completions) {
+    TinyLstmFixture fix;
+    const CostModel cost = UnitCostModel(fix.registry);
+    SimEngineOptions options;
+    options.num_workers = 2;
+    options.num_shards = 2;
+    SimEngine engine(&fix.registry, &cost, options);
+    constexpr size_t kRequests = 40;
+    for (size_t i = 0; i < kRequests; ++i) {
+      engine.SubmitAt(engine.events().Now(), fix.model.Unfold(kChainLength));
+      engine.Run();
+    }
+    EXPECT_EQ(engine.metrics().NumCompleted(), kRequests);
+    EXPECT_LE(engine.StealsExecuted(), static_cast<int64_t>(kRequests));
+    for (const RequestRecord& r : engine.metrics().records()) {
+      EXPECT_DOUBLE_EQ(r.completion_micros - r.arrival_micros, kChainLength)
+          << "request " << r.id;
+      completions->push_back(r.completion_micros);
+    }
+  };
+
+  std::vector<double> first, second;
+  run_once(&first);
+  run_once(&second);
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_DOUBLE_EQ(first[i], second[i]) << "request " << i;
+  }
 }
 
 }  // namespace
