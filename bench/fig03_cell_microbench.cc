@@ -5,14 +5,21 @@
 // environment; anchors derive from numbers printed in the paper). The CPU
 // rows are measured for real with this repository's tensor library at the
 // paper's configuration (hidden size 1024, one [b,2h]x[2h,4h] matmul plus
-// elementwise gates), scaled down in batch range to keep runtime sane on a
-// small machine.
+// elementwise gates) and at servebench's h=256 cell, scaled down in batch
+// range to keep runtime sane on a small machine. Beside every `lstm_step`
+// row sits an `lstm_gemm` row: the gate GEMM alone (MatMulPacked on the
+// same weight, packed at the same precision), so each pair of rows gives
+// the GEMM's share of the step.
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "src/graph/executor.h"
 #include "src/nn/lstm.h"
+#include "src/tensor/activation.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/gemm.h"
 
@@ -28,19 +35,66 @@ void PrintCurveTable(const char* title, const CostCurve& curve, int max_batch) {
   }
 }
 
-void MeasureCpuLstm() {
-  bench::PrintHeader(
-      "Figure 3 (top, measured): single LSTM step on this CPU, h=1024, bm_tensor backend");
-  Rng rng(7);
-  const LstmSpec spec{.input_dim = 1024, .hidden = 1024};
-  const auto def = BuildLstmCell(spec, &rng);
+// The [2h, 4h] gate weight: the right operand of the cell's one MatMul.
+const Tensor& GateWeight(const CellDef& def) {
+  for (const int id : def.TopoOrder()) {
+    const OpNode& node = def.op(id);
+    if (node.kind == OpKind::kMatMul) {
+      return def.op(node.inputs[1]).weight;
+    }
+  }
+  BM_CHECK(false) << "cell has no MatMul";
+  return def.op(0).weight;
+}
 
-  std::vector<bench::BenchRecord> records;
+// Times `step` and `gemm` interleaved over five rounds, each round a
+// trimmed mean over enough calls to fill ~20 ms, and returns the two
+// medians, so a burst of host noise cannot move one number alone.
+std::pair<double, double> MeasureStepAndGemmNs(const std::function<void()>& step,
+                                               const std::function<void()>& gemm) {
+  const double once_ns = bench::MeasureTrimmedNs(/*warmup=*/2, /*iters=*/1, step);
+  const int iters = std::clamp(static_cast<int>(20e6 / once_ns), 10, 400);
+  std::vector<double> step_ns;
+  std::vector<double> gemm_ns;
+  for (int round = 0; round < 5; ++round) {
+    step_ns.push_back(bench::MeasureTrimmedNs(/*warmup=*/1, iters, step));
+    gemm_ns.push_back(bench::MeasureTrimmedNs(/*warmup=*/1, iters, gemm));
+  }
+  std::sort(step_ns.begin(), step_ns.end());
+  std::sort(gemm_ns.begin(), gemm_ns.end());
+  return {step_ns[2], gemm_ns[2]};
+}
+
+PackedMatrix PackAs(const Tensor& weight, Precision prec) {
+  switch (prec) {
+    case Precision::kBf16:
+      return PackedMatrix::PackBf16(weight);
+    case Precision::kInt8:
+      return PackedMatrix::PackInt8(weight);
+    case Precision::kF32:
+      break;
+  }
+  return PackedMatrix::Pack(weight);
+}
+
+void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
+  char title[160];
+  std::snprintf(title, sizeof(title),
+                "Figure 3 (top, measured): single LSTM step on this CPU, h=%lld, "
+                "bm_tensor backend, activations=%s",
+                static_cast<long long>(hidden), ActivationKernelName());
+  bench::PrintHeader(title);
+  Rng rng(7);
+  const LstmSpec spec{.input_dim = hidden, .hidden = hidden};
+  const auto def = BuildLstmCell(spec, &rng);
+  const std::string shape = "h=" + std::to_string(hidden);
+
   // Precision sweep: the same cell executed fp32 / bf16 / int8 (per-CellDef
   // precision, quantized weight packs built once at executor construction).
   for (const Precision prec :
        {Precision::kF32, Precision::kBf16, Precision::kInt8}) {
     const CellExecutor exec(def.get(), prec);
+    const PackedMatrix gemm_weight = PackAs(GateWeight(*def), prec);
     // Serving configuration: intermediates come from a recycled arena, as
     // in the server's workers.
     TensorArena arena;
@@ -48,31 +102,43 @@ void MeasureCpuLstm() {
 
     std::printf("-- precision=%s kernel=%s\n", PrecisionName(prec),
                 GemmKernelName(prec));
-    std::printf("%8s %14s %20s\n", "batch", "time", "throughput(ops/s)");
-    for (int b = 1; b <= 64; b *= 2) {
-      const Tensor x = Tensor::RandomUniform(Shape{b, 1024}, 1.0f, &rng);
-      const Tensor h = Tensor::RandomUniform(Shape{b, 1024}, 1.0f, &rng);
-      const Tensor c = Tensor::RandomUniform(Shape{b, 1024}, 1.0f, &rng);
-      const double ns = bench::MeasureTrimmedNs(/*warmup=*/2, b <= 4 ? 20 : 10, [&] {
-        exec.Execute({&x, &h, &c}, &ctx);
-        arena.Reset();
-      });
-      // The step is dominated by the [b, 2h] x [2h, 4h] gate GEMM.
-      const double flop = 2.0 * b * 2048.0 * 4096.0;
-      bench::BenchRecord rec;
-      rec.op = "lstm_step";
-      rec.shape = "h=1024";
-      rec.batch = b;
-      rec.ns_per_iter = ns;
-      rec.gflops = flop / ns;
-      rec.precision = PrecisionName(prec);
-      rec.kernel = GemmKernelName(prec);
-      records.push_back(std::move(rec));
-      std::printf("%8d %14s %20.0f\n", b, FormatMicros(ns / 1e3).c_str(),
-                  b / (ns * 1e-9));
+    std::printf("%8s %14s %14s %11s %20s\n", "batch", "step", "gate gemm", "gemm share",
+                "throughput(ops/s)");
+    // 53 is servebench's lstm-cpu-closed batch.
+    for (const int b : {1, 2, 4, 8, 16, 32, 53, 64, 128, 256}) {
+      const Tensor x = Tensor::RandomUniform(Shape{b, hidden}, 1.0f, &rng);
+      const Tensor h = Tensor::RandomUniform(Shape{b, hidden}, 1.0f, &rng);
+      const Tensor c = Tensor::RandomUniform(Shape{b, hidden}, 1.0f, &rng);
+      const Tensor xh = Tensor::RandomUniform(Shape{b, 2 * hidden}, 1.0f, &rng);
+      const auto [step_ns, gemm_ns] = MeasureStepAndGemmNs(
+          [&] {
+            exec.Execute({&x, &h, &c}, &ctx);
+            arena.Reset();
+          },
+          [&] {
+            {
+              const ArenaScope scope(&arena);
+              MatMulPacked(xh, gemm_weight);
+            }
+            arena.Reset();
+          });
+      const double flop = 2.0 * b * (2.0 * hidden) * (4.0 * hidden);
+      for (const auto& [op, ns] : {std::pair{"lstm_step", step_ns}, {"lstm_gemm", gemm_ns}}) {
+        bench::BenchRecord rec;
+        rec.op = op;
+        rec.shape = shape;
+        rec.batch = b;
+        rec.ns_per_iter = ns;
+        rec.gflops = flop / ns;
+        rec.precision = PrecisionName(prec);
+        rec.kernel = GemmKernelName(prec);
+        records->push_back(std::move(rec));
+      }
+      std::printf("%8d %14s %14s %10.0f%% %20.0f\n", b,
+                  FormatMicros(step_ns / 1e3).c_str(), FormatMicros(gemm_ns / 1e3).c_str(),
+                  100.0 * gemm_ns / step_ns, b / (step_ns * 1e-9));
     }
   }
-  bench::WriteBenchJson("BENCH_fig03.json", "fig03_cpu_lstm_step", records);
 }
 
 }  // namespace
@@ -84,7 +150,10 @@ int main() {
   using batchmaker::GpuDecoderCurve;
   using batchmaker::GpuLstmCurve;
 
-  batchmaker::MeasureCpuLstm();
+  std::vector<batchmaker::bench::BenchRecord> records;
+  batchmaker::MeasureCpuLstm(1024, &records);
+  batchmaker::MeasureCpuLstm(256, &records);
+  batchmaker::bench::WriteBenchJson("BENCH_fig03.json", "fig03_cpu_lstm_step", records);
   batchmaker::PrintCurveTable(
       "Figure 3 (top, modeled): LSTM step on Xeon E5-2698v4 (paper's CPU cost model)",
       CpuLstmCurve(), 4096);

@@ -1072,6 +1072,19 @@ Tensor MatMulPackedBias(const Tensor& a, const PackedMatrix& b, const Tensor& bi
 
 bool GemmUsesSimd() { return MutableDispatch().f32 != MicroKernelScalar; }
 
+CpuTier GemmCpuTier() {
+#if BM_GEMM_X86
+  const KernelFn f32 = MutableDispatch().f32;
+  if (f32 == MicroKernelAvx512) {
+    return CpuTier::kAvx512;
+  }
+  if (f32 == MicroKernelAvx2) {
+    return CpuTier::kAvx2;
+  }
+#endif
+  return CpuTier::kScalar;
+}
+
 const char* GemmKernelName(Precision p) {
   const GemmDispatch& d = MutableDispatch();
   switch (p) {

@@ -2,8 +2,11 @@
 // SIMD dispatch and optional static-partition parallelism.
 //
 // The LSTM cell at hidden size h reduces to one [b, 2h] x [2h, 4h] matrix
-// multiplication per step (paper §2.2 footnote 2), so GEMM dominates CPU
-// inference cost. The B operand (always a weight matrix in cell graphs) is
+// multiplication per step (paper §2.2 footnote 2). With the vectorized
+// activations of activation.h, that GEMM takes ~80% of an fp32 step at
+// h=256, batch 53 and 90-97% at h=1024 (bench/fig03_cell_microbench's
+// `lstm_gemm` vs `lstm_step` rows); with libm activations it was ~40% at
+// h=256. The B operand (always a weight matrix in cell graphs) is
 // packed once into contiguous column panels — CellExecutor caches the packed
 // form per CellDef — and the inner kernel is an MR x NR register tile
 // (AVX2+FMA when the CPU supports it, selected at runtime; portable scalar
@@ -143,6 +146,12 @@ Tensor MatMulPackedBias(const Tensor& a, const PackedMatrix& b, const Tensor& bi
 // True if the runtime-dispatched kernel uses the SIMD path on this CPU
 // (diagnostics / benchmark labeling).
 bool GemmUsesSimd();
+
+// SIMD tier of the dispatched fp32 kernel. The vectorized activations
+// (src/tensor/activation.h) dispatch on it, so the BM_GEMM_KERNEL cap and
+// GemmForceTierForTest select their kernels too.
+enum class CpuTier { kScalar, kAvx2, kAvx512 };
+CpuTier GemmCpuTier();
 
 // Name of the kernel the dispatcher would run for `p` on this host, e.g.
 // "avx512_fp32", "avx512_vnni_int8", "emulated_bf16", "scalar_fp32".

@@ -1,9 +1,9 @@
 #include "src/tensor/ops.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
+#include "src/tensor/activation.h"
 #include "src/util/logging.h"
 
 namespace batchmaker {
@@ -19,7 +19,7 @@ void CheckSameShapeF32(const Tensor& a, const Tensor& b) {
 template <typename F>
 Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, F f) {
   CheckSameShapeF32(a, b);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.f32();
   const float* pb = b.f32();
   float* po = out.f32();
@@ -33,13 +33,21 @@ Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, F f) {
 template <typename F>
 Tensor ElementwiseUnary(const Tensor& a, F f) {
   BM_CHECK(a.dtype() == DType::kF32);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.f32();
   float* po = out.f32();
   const int64_t n = a.NumElements();
   for (int64_t i = 0; i < n; ++i) {
     po[i] = f(pa[i]);
   }
+  return out;
+}
+
+// Maps one of the vectorized kernels of src/tensor/activation.h over `a`.
+Tensor ActivationUnary(const Tensor& a, void (*kernel)(const float*, float*, int64_t)) {
+  BM_CHECK(a.dtype() == DType::kF32);
+  Tensor out = Tensor::Uninitialized(a.shape());
+  kernel(a.f32(), out.f32(), a.NumElements());
   return out;
 }
 
@@ -64,7 +72,7 @@ Tensor AddBias(const Tensor& a, const Tensor& bias) {
   const int64_t cols = a.shape().Dim(1);
   const int64_t bias_elems = bias.NumElements();
   BM_CHECK_EQ(bias_elems, cols) << "bias length must equal column count";
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.f32();
   const float* pb = bias.f32();
   float* po = out.f32();
@@ -76,13 +84,9 @@ Tensor AddBias(const Tensor& a, const Tensor& bias) {
   return out;
 }
 
-Tensor Sigmoid(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
+Tensor Sigmoid(const Tensor& a) { return ActivationUnary(a, SigmoidF32); }
 
-Tensor Tanh(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return std::tanh(x); });
-}
+Tensor Tanh(const Tensor& a) { return ActivationUnary(a, TanhF32); }
 
 Tensor Relu(const Tensor& a) {
   return ElementwiseUnary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
@@ -94,14 +98,20 @@ Tensor Softmax(const Tensor& a) {
   const int64_t rows = a.shape().Dim(0);
   const int64_t cols = a.shape().Dim(1);
   BM_CHECK_GT(cols, 0);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   for (int64_t r = 0; r < rows; ++r) {
     const float* in = a.f32() + r * cols;
     float* o = out.f32() + r * cols;
     const float max_val = *std::max_element(in, in + cols);
+    for (int64_t c = 0; c < cols; ++c) {
+      o[c] = in[c] - max_val;
+    }
+  }
+  ExpF32(out.f32(), out.f32(), rows * cols);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* o = out.f32() + r * cols;
     float sum = 0.0f;
     for (int64_t c = 0; c < cols; ++c) {
-      o[c] = std::exp(in[c] - max_val);
       sum += o[c];
     }
     for (int64_t c = 0; c < cols; ++c) {
@@ -115,9 +125,7 @@ Tensor MaxElem(const Tensor& a, const Tensor& b) {
   return ElementwiseBinary(a, b, [](float x, float y) { return x > y ? x : y; });
 }
 
-Tensor Exp(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return std::exp(x); });
-}
+Tensor Exp(const Tensor& a) { return ActivationUnary(a, ExpF32); }
 
 Tensor Recip(const Tensor& a) {
   return ElementwiseUnary(a, [](float x) { return 1.0f / x; });
@@ -128,7 +136,7 @@ Tensor RowSum(const Tensor& a) {
   BM_CHECK_EQ(a.shape().Rank(), 2);
   const int64_t rows = a.shape().Dim(0);
   const int64_t cols = a.shape().Dim(1);
-  Tensor out(Shape{rows, 1});
+  Tensor out = Tensor::Uninitialized(Shape{rows, 1});
   for (int64_t r = 0; r < rows; ++r) {
     float acc = 0.0f;
     const float* p = a.f32() + r * cols;
@@ -148,7 +156,7 @@ Tensor ScaleRows(const Tensor& a, const Tensor& s) {
   BM_CHECK_EQ(a.shape().Dim(0), s.shape().Dim(0));
   const int64_t rows = a.shape().Dim(0);
   const int64_t cols = a.shape().Dim(1);
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   for (int64_t r = 0; r < rows; ++r) {
     const float scale = s.f32()[r];
     const float* in = a.f32() + r * cols;
@@ -171,7 +179,7 @@ Tensor ConcatCols(const std::vector<const Tensor*>& parts) {
     BM_CHECK(p->dtype() == dtype);
     total_cols += p->shape().Dim(1);
   }
-  Tensor out(Shape{rows, total_cols}, dtype);
+  Tensor out = Tensor::Uninitialized(Shape{rows, total_cols}, dtype);
   BM_CHECK(dtype == DType::kF32) << "ConcatCols supports f32 only";
   for (int64_t r = 0; r < rows; ++r) {
     float* dst = out.f32() + r * total_cols;
@@ -193,7 +201,7 @@ Tensor SliceCols(const Tensor& a, int64_t begin, int64_t end) {
   BM_CHECK_LT(begin, end);
   BM_CHECK_LE(end, cols);
   const int64_t out_cols = end - begin;
-  Tensor out(Shape{rows, out_cols});
+  Tensor out = Tensor::Uninitialized(Shape{rows, out_cols});
   for (int64_t r = 0; r < rows; ++r) {
     std::memcpy(out.f32() + r * out_cols, a.f32() + r * cols + begin,
                 static_cast<size_t>(out_cols) * sizeof(float));
@@ -210,7 +218,7 @@ Tensor EmbeddingLookup(const Tensor& table, const Tensor& ids) {
   const int64_t vocab = table.shape().Dim(0);
   const int64_t dim = table.shape().Dim(1);
   const int64_t batch = ids.shape().Dim(0);
-  Tensor out(Shape{batch, dim});
+  Tensor out = Tensor::Uninitialized(Shape{batch, dim});
   for (int64_t b = 0; b < batch; ++b) {
     const int32_t id = ids.i32()[b];
     BM_CHECK_GE(id, 0);
@@ -227,7 +235,7 @@ Tensor ArgmaxRows(const Tensor& a) {
   const int64_t rows = a.shape().Dim(0);
   const int64_t cols = a.shape().Dim(1);
   BM_CHECK_GT(cols, 0);
-  Tensor out(Shape{rows, 1}, DType::kI32);
+  Tensor out = Tensor::Uninitialized(Shape{rows, 1}, DType::kI32);
   for (int64_t r = 0; r < rows; ++r) {
     const float* p = a.f32() + r * cols;
     out.i32()[r] = static_cast<int32_t>(std::max_element(p, p + cols) - p);
@@ -303,7 +311,7 @@ Tensor ExtractRow(const Tensor& batch, int64_t row) {
   BM_CHECK_GE(batch.shape().Rank(), 1);
   std::vector<int64_t> dims = batch.shape().dims();
   dims[0] = 1;
-  Tensor out(Shape(std::move(dims)), batch.dtype());
+  Tensor out = Tensor::Uninitialized(Shape(std::move(dims)), batch.dtype());
   ScatterRow(batch, row, &out, 0);
   return out;
 }

@@ -51,8 +51,11 @@ void* MaybeArenaAllocate(const Shape& shape, DType dtype, bool zero_fill) {
 
 }  // namespace
 
-Tensor::Tensor(Shape shape, DType dtype) : shape_(std::move(shape)), dtype_(dtype) {
-  borrowed_ = MaybeArenaAllocate(shape_, dtype_, /*zero_fill=*/true);
+Tensor::Tensor(Shape shape, DType dtype) : Tensor(std::move(shape), dtype, /*zero_fill=*/true) {}
+
+Tensor::Tensor(Shape shape, DType dtype, bool zero_fill)
+    : shape_(std::move(shape)), dtype_(dtype) {
+  borrowed_ = MaybeArenaAllocate(shape_, dtype_, zero_fill);
   if (borrowed_ != nullptr) {
     return;
   }
@@ -104,21 +107,7 @@ Tensor& Tensor::operator=(Tensor&& other) noexcept {
 Tensor Tensor::Zeros(Shape shape, DType dtype) { return Tensor(std::move(shape), dtype); }
 
 Tensor Tensor::Uninitialized(Shape shape, DType dtype) {
-  Tensor t;
-  t.shape_ = std::move(shape);
-  t.dtype_ = dtype;
-  t.fdata_.clear();
-  t.idata_.clear();
-  t.borrowed_ = MaybeArenaAllocate(t.shape_, t.dtype_, /*zero_fill=*/false);
-  if (t.borrowed_ == nullptr) {
-    const size_t n = static_cast<size_t>(t.shape_.NumElements());
-    if (dtype == DType::kF32) {
-      t.fdata_.assign(n, 0.0f);
-    } else {
-      t.idata_.assign(n, 0);
-    }
-  }
-  return t;
+  return Tensor(std::move(shape), dtype, /*zero_fill=*/false);
 }
 
 Tensor Tensor::Full(Shape shape, float value) {

@@ -88,6 +88,10 @@ class Tensor {
   std::string DebugString(int64_t max_elements = 16) const;
 
  private:
+  // Storage from the ambient arena (zero-filled only if `zero_fill`) or
+  // owned and zeroed.
+  Tensor(Shape shape, DType dtype, bool zero_fill);
+
   Shape shape_;
   DType dtype_;
   // Owned storage (empty when borrowed_ is set).

@@ -4,6 +4,7 @@
 # under ThreadSanitizer and run them. Mirrors .github/workflows/ci.yml.
 #
 # Usage: tools/check.sh [--no-tsan] [--asan] [--perf-smoke] [--chaos]
+#                       [--kernel-tiers]
 #   --asan        additionally rebuild the concurrency tests under
 #                 ASan+UBSan and run them (mirrors the ci.yml asan job)
 #   --perf-smoke  additionally run the fig07 + overload perf-smoke points
@@ -15,6 +16,11 @@
 #                 recovery time against
 #                 bench/baselines/BENCH_chaos_baseline.json
 #                 (mirrors the ci.yml chaos job)
+#   --kernel-tiers  additionally compile gemm.cc and activation.cc
+#                 standalone with explicit ISA flags and with none, then
+#                 run gemm_test, precision_test and activation_test under
+#                 every BM_GEMM_KERNEL cap (mirrors the ci.yml kernel-tiers
+#                 job's matrix)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,12 +29,14 @@ run_tsan=1
 run_asan=0
 run_perf=0
 run_chaos=0
+run_tiers=0
 for arg in "$@"; do
   case "$arg" in
     --no-tsan) run_tsan=0 ;;
     --asan) run_asan=1 ;;
     --perf-smoke) run_perf=1 ;;
     --chaos) run_chaos=1 ;;
+    --kernel-tiers) run_tiers=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
@@ -169,6 +177,22 @@ if [[ "$run_chaos" == 1 ]]; then
     --keys mode \
     --metric recovery_ms:9.0 --metric p99_ms:1.5 \
     --min-cores 2
+fi
+
+if [[ "$run_tiers" == 1 ]]; then
+  echo "==> kernel-tiers: standalone ISA compiles + kernel tests under each cap"
+  g++ -std=c++17 -O2 -I. -mavx512bf16 -mavx512vnni \
+    -c src/tensor/gemm.cc -o build-check/gemm_isa_baseline.o
+  g++ -std=c++17 -O2 -I. -c src/tensor/gemm.cc -o build-check/gemm_no_isa.o
+  g++ -std=c++17 -O2 -I. -mavx512f -mavx2 -mfma \
+    -c src/tensor/activation.cc -o build-check/activation_isa_baseline.o
+  g++ -std=c++17 -O2 -I. -c src/tensor/activation.cc -o build-check/activation_no_isa.o
+  for cap in scalar avx2 avx512 avx512_bf16 avx512_vnni; do
+    echo "--> BM_GEMM_KERNEL=$cap"
+    for t in gemm_test precision_test activation_test; do
+      BM_GEMM_KERNEL="$cap" "build-check/tests/$t" --gtest_brief=1
+    done
+  done
 fi
 
 echo "==> all checks passed"
