@@ -15,12 +15,14 @@
 //     joined, a replacement thread spawned, and the worker re-admitted.
 //
 // Each row records the p99 blip, tasks requeued, and detection-to-readmit
-// recovery time into BENCH_chaos.json for CI regression tracking
-// (tools/compare_bench.py --keys mode; the committed baseline carries only
-// the hang/exit rows since the control row has no recovery to gate). The
-// zero-lost-requests acceptance gate lives here, not in compare_bench:
-// every submitted request must get exactly one terminal callback and every
-// drill must actually fire, or the process exits non-zero.
+// recovery time (read from the trace: the watchdog stamps its quarantine
+// instant on worker 0's first readmit event) into BENCH_chaos.json for CI
+// regression tracking (tools/compare_bench.py --keys mode; the committed
+// baseline carries only the hang/exit rows since the control row has no
+// recovery to gate). The zero-lost-requests acceptance gate lives here,
+// not in compare_bench: every submitted request must get exactly one
+// terminal callback and every drill must actually fire, or the process
+// exits non-zero.
 //
 // Usage: fig_chaos [--smoke] [--recovery-budget-ms N] [--out PATH]
 //   --smoke               short run (the CI chaos job)
@@ -91,6 +93,8 @@ ServerOptions MakeOptions(const std::string& mode) {
   // floor turns that into a false-positive quarantine on the peer.
   options.health.min_hang_micros = 20000.0;
   options.health.probe_backoff_micros = 1000.0;
+  // Recovery time is read from the trace (RecoveryMs).
+  options.enable_tracing = true;
   if (mode != "control") {
     options.fault.chaos_worker = 0;
     options.fault.chaos_task_seq = 2;  // fires once the run is warm
@@ -103,61 +107,22 @@ ServerOptions MakeOptions(const std::string& mode) {
   return options;
 }
 
-// Samples HealthReport() until stopped, recording when worker 0 first
-// enters quarantine and when it is first re-admitted afterwards (both in
-// ms since the monitor started; -1 = never observed).
-class RecoveryMonitor {
- public:
-  explicit RecoveryMonitor(const Server* server)
-      : start_(std::chrono::steady_clock::now()), thread_([this, server] {
-          bool seen_quarantine = false;
-          while (!stop_.load(std::memory_order_acquire)) {
-            const auto report = server->HealthReport();
-            const auto& row = report[0];
-            const double now_ms = ElapsedMs();
-            if (!seen_quarantine && row.quarantined) {
-              seen_quarantine = true;
-              quarantine_at_ms_ = now_ms;
-            } else if (seen_quarantine && readmit_at_ms_ < 0.0 && !row.quarantined &&
-                       row.health == WorkerHealth::kHealthy) {
-              readmit_at_ms_ = now_ms;
-            }
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-        }) {}
-
-  void Stop() {
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
+// Detection-to-readmit time of worker 0's first recovery, ms; 0 = never
+// re-admitted. Its first worker_readmit event carries the instant the
+// watchdog quarantined it, so both ends are the watchdog's own stamps.
+double RecoveryMs(const Server& server) {
+  for (const TraceEvent& event : server.trace().SortedEvents()) {
+    if (event.kind == TraceEventKind::kWorkerReadmit && event.worker == 0) {
+      return (event.ts_micros - event.aux_micros) / 1e3;
+    }
   }
-
-  double quarantine_at_ms() const { return quarantine_at_ms_; }
-  double readmit_at_ms() const { return readmit_at_ms_; }
-  double recovery_ms() const {
-    return (quarantine_at_ms_ >= 0.0 && readmit_at_ms_ >= 0.0)
-               ? readmit_at_ms_ - quarantine_at_ms_
-               : 0.0;
-  }
-
- private:
-  double ElapsedMs() const {
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                     start_)
-        .count();
-  }
-
-  std::chrono::steady_clock::time_point start_;
-  std::atomic<bool> stop_{false};
-  double quarantine_at_ms_ = -1.0;  // monitor-thread-written, read after Stop
-  double readmit_at_ms_ = -1.0;
-  std::thread thread_;
-};
+  return 0.0;
+}
 
 ChaosRow RunMode(LstmModel& model, CellRegistry& registry, const std::string& mode,
                  double rate, double duration_s) {
   Server server(&registry, MakeOptions(mode));
   server.Start();
-  RecoveryMonitor monitor(&server);
 
   Rng rng(123);  // same arrivals in every mode: the comparison is the drill
   const WmtLengthSampler sampler;
@@ -183,7 +148,6 @@ ChaosRow RunMode(LstmModel& model, CellRegistry& registry, const std::string& mo
                   });
   }
   server.Shutdown();
-  monitor.Stop();
 
   const SampleSet lat = server.metrics().Latencies();
   ChaosRow row;
@@ -194,7 +158,7 @@ ChaosRow RunMode(LstmModel& model, CellRegistry& registry, const std::string& mo
   row.quarantines = server.Quarantines();
   row.requeued = server.RequeuedTasks();
   row.respawns = server.Respawns();
-  row.recovery_ms = monitor.recovery_ms();
+  row.recovery_ms = RecoveryMs(server);
   if (!server.metrics().records().empty()) {
     row.p50_ms = lat.Percentile(50) / 1e3;
     row.p99_ms = lat.Percentile(99) / 1e3;

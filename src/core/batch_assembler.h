@@ -7,12 +7,11 @@
 // cell executor runs once on the whole batch, and the outputs are scattered
 // back into per-node output tensors.
 //
-// The three stages are exposed separately so the pipelined server can
-// overlap them across consecutive tasks of one worker stream: a staging
-// thread runs GatherInputs for task t+1 (into its own staging arena) while
-// the execution thread is still inside ExecuteGathered for task t. Results
-// are bitwise identical to the composed ExecuteTask by construction — the
-// stages compute exactly the same tensors, only on different threads.
+// The three stages are exposed separately so a device backend can put each
+// behind its own DeviceBackend / DeviceQueue entry point (gather into a
+// staging arena, execute on the queue's pool, scatter from the queue).
+// Results are bitwise identical to the composed ExecuteTask by
+// construction — the stages compute exactly the same tensors.
 
 #ifndef SRC_CORE_BATCH_ASSEMBLER_H_
 #define SRC_CORE_BATCH_ASSEMBLER_H_
@@ -51,11 +50,10 @@ class BatchAssembler {
 
   // ---- Staged API (the composed ExecuteTask is Gather + Execute + Scatter) ----
   //
-  // Pipelining safety: GatherInputs reads node_outputs of the entries'
-  // producers, so the caller must guarantee every producer has already been
-  // *scattered* — within one FIFO worker stream that means waiting until no
-  // earlier unscattered task produces an input of this one (the server's
-  // staging thread tracks exactly that hazard set).
+  // Ordering: GatherInputs reads node_outputs of the entries' producers,
+  // so the caller must guarantee every producer has already been
+  // *scattered* — the server's exec thread scatters each task of its FIFO
+  // stream before it gathers the next.
 
   // Stage 1: gathers one contiguous [batch, ...] tensor per cell input
   // slot into `out`. Uses ctx->arena for the gather buffers and ctx->pool

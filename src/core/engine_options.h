@@ -45,9 +45,9 @@ struct AdmissionOptions {
 };
 
 // Worker failure domains (DESIGN.md "Worker failure domains"; Server
-// only). When `health_watchdog` is on, stager and exec threads stamp
-// per-worker heartbeats and a watchdog thread classifies each worker as
-// healthy / slow / hung / dead, quarantines flagged workers (their
+// only). When `health_watchdog` is on, exec threads stamp per-worker
+// heartbeats and a watchdog thread classifies each worker as healthy /
+// slow / hung / dead, quarantines flagged workers (their
 // in-flight tasks are requeued through the fault-recovery machinery, so
 // no request is lost — only delayed), respawns dead exec threads, and
 // re-admits recovered workers with exponential probe backoff. Off by
@@ -128,8 +128,8 @@ struct EngineOptions {
   // NUMA-aware placement (DESIGN.md "NUMA-aware placement"; Server only —
   // the simulator has no threads to place). kNone (default) skips topology
   // discovery entirely and is bitwise-identical to the pre-NUMA server.
-  // kPin pins each worker's stager/exec pair (and its intra-task pool) to
-  // one node and aligns shard boundaries with node boundaries; kPinReplicate
+  // kPin pins each worker's exec thread (and its intra-task pool) to one
+  // node and aligns shard boundaries with node boundaries; kPinReplicate
   // additionally materializes node-local replicas of the pre-packed weight
   // panels. Pinning is best-effort: a node excluded by taskset/cgroups
   // leaves its workers unpinned but fully functional.

@@ -120,8 +120,9 @@ class FaultInjector {
                             static_cast<uint64_t>(batch_size));
   }
 
-  // Worker-chaos decision for `task_seq` (the per-worker stream sequence
-  // assigned by the stager) on `worker`. Pure in (worker, seq, seed).
+  // Worker-chaos decision for `task_seq` (the per-worker stream sequence,
+  // which a respawned exec thread continues) on `worker`. Pure in
+  // (worker, seq, seed).
   WorkerChaos ChaosAt(int worker, int64_t task_seq) const {
     WorkerChaos chaos;
     if (worker != options_.chaos_worker || task_seq < 0) {

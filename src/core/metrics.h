@@ -53,7 +53,7 @@ struct NodeCounters {
   // boundaries align with node boundaries, so same-node steals don't
   // count here).
   std::atomic<int64_t> cross_node_steals{0};
-  // Estimated bytes this node's stagers gathered from producer outputs
+  // Estimated bytes this node's workers gathered from producer outputs
   // last scattered on another node (an upper-bound estimate: rows whose
   // producing task ran remotely, priced at the gathered row size).
   std::atomic<int64_t> remote_gather_bytes{0};

@@ -138,8 +138,9 @@ struct RequestState {
 
   // NUMA node index of the worker that last scattered one of this request's
   // node outputs; -1 = never scattered or placement off. Written (relaxed)
-  // by exec threads after scatter, read by stagers to estimate cross-node
-  // gather traffic (MetricsCollector::NodeCounters::remote_gather_bytes).
+  // by exec threads after scatter, read by later gathers to estimate
+  // cross-node gather traffic
+  // (MetricsCollector::NodeCounters::remote_gather_bytes).
   // Only maintained when numa_policy != none; purely diagnostic — the
   // estimate never influences scheduling.
   std::atomic<int> last_scatter_node{-1};

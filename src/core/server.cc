@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <future>
 #include <limits>
 #include <sstream>
@@ -17,10 +16,10 @@ namespace batchmaker {
 
 namespace {
 
-// Hazard-set key for one (request, node) pair. Node indices are bounded by
+// Poison-set key for one (request, node) pair. Node indices are bounded by
 // graph size (well under 2^20) and request ids are sequential from 1, so
 // the packing cannot collide — a collision would be a correctness bug
-// (erasing one pair's key would unmask another's hazard).
+// (erasing one pair's key would unpoison another's failed output).
 uint64_t HazardKey(RequestId request, int node) {
   BM_CHECK_LT(node, 1 << 20);
   return (static_cast<uint64_t>(request) << 20) | static_cast<uint64_t>(node);
@@ -42,68 +41,39 @@ const char* WorkerHealthName(WorkerHealth health) {
   return "unknown";
 }
 
-// Shared state of one worker's staging/execution thread pair.
+// Shared state of one worker's execution thread, its shard manager and the
+// watchdog.
 //
-// The staging thread pops tasks from the worker's FIFO task queue, waits
-// out the two hazards below, gathers the task's inputs into one of the two
-// staging arenas, and appends the staged task to `staged`. The execution
-// thread pops from `staged` in order, executes, resets the task's staging
-// arena, scatters, and retires the task's hazard keys. All shared fields
-// are guarded by `mu`; `cv` is signalled whenever either side makes
-// progress the other may be waiting on.
-//
-// Hazard 1 (read-after-write): within a FIFO stream, task t+1 may consume
-// outputs of task t that has not scattered yet (the scheduler satisfies
-// *internal* dependencies at schedule time, trusting stream order). The
-// stager must not gather an input row whose producer is in `unscattered` —
-// the (request, node) keys of every popped-but-not-yet-scattered task.
-// Keys are inserted after a task's gather (before the next pop) and erased
-// after its scatter, so the blocking condition only ever clears, never
-// reappears, while the stager waits.
-//
-// Hazard 2 (arena reuse): task seq gathers into staging[seq % 2], which is
-// reset by the execution thread right after task seq executes. The stager
-// may start gathering task seq only once task seq-2 has executed
-// (executed_seq >= seq - 2), i.e. its buffers are dead and the arena
-// recycled. This is what bounds staging memory to two tasks per worker.
+// The execution thread runs the worker's FIFO task stream in order: it pops
+// a task, gathers its inputs into `staging`, executes, scatters and retires
+// it, and only then pops the next. A task therefore never reads a row its
+// own stream has not scattered yet (the scheduler satisfies *internal*
+// dependencies at schedule time, trusting stream order), and one staging
+// arena per worker suffices. Fields shared with other threads are guarded
+// by `mu` unless atomic.
 //
 // Failure poison (`failed_produced`): when a task fails to execute
 // (injected fault or a throwing cell), its entries' (request, node) keys go
-// here instead of `unscattered` — the nodes produced nothing, and later
-// tasks in this stream that consume them must not gather (there is nothing
-// to read) nor block forever on the hazard wait. The stager checks each
-// entry's inputs against this set to build the task's poisoned mask;
-// poisoned rows gather as zeros, are skipped by the scatter, and are
+// here — the nodes produced nothing, and later tasks in this stream that
+// consume them must not gather (there is nothing to read). The exec thread
+// checks each entry's inputs against this set to build the task's poisoned
+// mask; poisoned rows gather as zeros, are skipped by the scatter, and are
 // reported to the manager as failed entries (a cascade). Keys are purged
 // three ways so a re-scheduled healthy execution is never mis-poisoned:
-// the stager self-cleans an entry's own stale key when it stages cleanly,
-// the scheduler's unpark hook erases a parked subgraph's keys once its
-// in-flight tasks drain, and request finalization sweeps keys of nodes
-// that were cancelled outright.
+// the exec thread self-cleans an entry's own stale key when it runs the
+// entry cleanly, the scheduler's unpark hook erases a parked subgraph's
+// keys once its in-flight tasks drain, and request finalization sweeps keys
+// of nodes that were cancelled outright.
 struct Server::WorkerPipeline {
-  struct StagedTask {
-    WorkerTask wt;
-    GatheredBatch gathered;
-    int64_t seq = 0;
-    // Per-entry cascade mask (empty = no poisoned entries).
-    std::vector<uint8_t> poisoned;
-    // Injected fault or every entry poisoned: nothing gathered, nothing to
-    // execute; the exec thread just advances the stream and reports.
-    bool skip = false;
-    // Entry blamed for an injected fault; -1 for cascades.
-    int victim = -1;
-  };
-
   std::mutex mu;
-  std::condition_variable cv;
-  std::unordered_set<uint64_t> unscattered;
   std::unordered_set<uint64_t> failed_produced;
-  std::deque<StagedTask> staged;
-  int64_t executed_seq = -1;  // highest seq executed + scattered
-  bool stage_done = false;    // staging thread exited; drain and stop
-  // Device staging buffers (backend_->CreateArena()); the CPU backend's
-  // wrap TensorArenas, compute-free backends hand out no-op arenas.
-  std::unique_ptr<DeviceArena> staging[2];
+  // Device staging buffer (backend_->CreateArena()); the CPU backend's
+  // wraps a TensorArena, compute-free backends hand out a no-op arena.
+  std::unique_ptr<DeviceArena> staging;
+  // Stream seq of the next task the exec thread commits to (under mu).
+  // Kept here, not on the thread's stack, so a respawned exec thread
+  // continues the stream: chaos drills are keyed on (worker, seq).
+  int64_t next_seq = 0;
   // Total exec-thread time with nothing to execute (see WorkerIdleMicros):
   // from Start (or a respawn) to the first task, between tasks, and from
   // the last task to exit. Written only by the exec thread; read from any
@@ -112,8 +82,8 @@ struct Server::WorkerPipeline {
 
   // ---- Worker failure domains (written only when health_on_) ----------
   // Progress heartbeat: a monotonically increasing epoch plus a wall
-  // stamp, bumped by the stager and exec threads at gather / execute /
-  // scatter boundaries. The watchdog reads both lock-free.
+  // stamp, bumped by the exec thread at gather / execute / scatter
+  // boundaries. The watchdog reads both lock-free.
   std::atomic<int64_t> hb_epoch{0};
   std::atomic<double> hb_stamp{0.0};
   // The task the exec thread is currently inside: stream seq (-1 = idle,
@@ -131,16 +101,15 @@ struct Server::WorkerPipeline {
   // watchdog stopped.
   std::atomic<int> exec_alive{0};
   // Quarantine flag (under mu): set by the owning shard manager when the
-  // watchdog flags this worker. The stager aborts any task it holds (and
-  // refuses new ones) while this is set, handing them back via RequeueMsg.
+  // watchdog flags this worker. The exec thread hands back (via
+  // RequeueMsg) any task it pops while this is set.
   bool quarantined = false;
   // In-flight task metadata for dead-worker reclamation: a copy of the
-  // task the exec thread popped (recorded under mu before execution,
-  // cleared once its completion message is pushed). A hung worker's
-  // in-flight task is never reclaimed — it completes when the thread
-  // wakes; a dead worker's never will, so the manager requeues this copy.
+  // task the exec thread committed to (recorded under mu before
+  // execution, cleared once it retires). A hung worker's in-flight task is
+  // never reclaimed — it completes when the thread wakes; a dead worker's
+  // never will, so the manager requeues this copy.
   BatchedTask inflight_task;
-  int64_t inflight_seq = -1;
   bool inflight_valid = false;
   // Count of quarantine operations the shard manager has completed on
   // this pipeline. The watchdog records the value it expects before
@@ -155,24 +124,49 @@ struct Server::WorkerPipeline {
     hb_stamp.store(now, std::memory_order_relaxed);
   }
 
-  // Publishes a task that will not execute (injected fault or pure
-  // cascade): nothing is gathered, and its entries' keys join
-  // failed_produced so later consumers in this stream poison instead of
-  // blocking. Returns false, publishing nothing, if the worker was
-  // quarantined meanwhile (the caller hands the task back).
-  bool PublishSkipped(StagedTask& st) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (quarantined) {
-        return false;
-      }
-      for (const TaskEntry& entry : st.wt.task.entries) {
-        failed_produced.insert(HazardKey(entry.request, entry.node));
-      }
-      staged.push_back(std::move(st));
+  // The exec thread's commit to a popped task, one step under mu against
+  // a concurrent quarantine: takes the task's stream seq, fills `poisoned`
+  // (all ones for an injected fault; left empty while failed_produced is),
+  // moves the entries' own keys into or out of failed_produced, and, with
+  // the watchdog on, records the in-flight copy. Returns -1, committing
+  // nothing, when the worker is quarantined.
+  int64_t Commit(const WorkerTask& wt, bool injected, bool health_on,
+                 std::vector<uint8_t>* poisoned) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (health_on && quarantined) {
+      return -1;
     }
-    cv.notify_all();
-    return true;
+    const std::vector<TaskEntry>& entries = wt.task.entries;
+    if (injected) {
+      poisoned->assign(entries.size(), 1);
+    } else if (!failed_produced.empty()) {
+      poisoned->assign(entries.size(), 0);
+      for (size_t i = 0; i < entries.size(); ++i) {
+        for (const ValueRef& ref : wt.states[i]->graph.node(entries[i].node).inputs) {
+          if (!ref.is_external() &&
+              failed_produced.count(HazardKey(entries[i].request, ref.node)) != 0) {
+            (*poisoned)[i] = 1;
+            break;
+          }
+        }
+      }
+    }
+    for (size_t i = 0; i < poisoned->size(); ++i) {
+      const uint64_t key = HazardKey(entries[i].request, entries[i].node);
+      if ((*poisoned)[i] != 0) {
+        failed_produced.insert(key);  // propagate the cascade
+      } else {
+        // Self-clean: a node re-run here after a failed attempt (the
+        // revert machinery re-scheduled it to this worker) supersedes its
+        // stale poison key.
+        failed_produced.erase(key);
+      }
+    }
+    if (health_on) {
+      inflight_task = wt.task;
+      inflight_valid = true;
+    }
+    return next_seq++;
   }
 };
 
@@ -262,8 +256,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   for (int i = 0; i < num_workers; ++i) {
     task_queues_.push_back(std::make_unique<BlockingQueue<WorkerTask>>());
     auto pipe = std::make_unique<WorkerPipeline>();
-    pipe->staging[0] = backend_->CreateArena();
-    pipe->staging[1] = backend_->CreateArena();
+    pipe->staging = backend_->CreateArena();
     pipelines_.push_back(std::move(pipe));
   }
 
@@ -431,10 +424,6 @@ void Server::Start() {
   }
   for (int i = 0; i < options_.num_workers; ++i) {
     const int shard = shard_of_worker_[static_cast<size_t>(i)];
-    stager_threads_.emplace_back([this, i, shard] {
-      TraceRecorder::SetThreadShard(shard);
-      StageLoop(i);
-    });
     // Every exec thread is idle from Start (micros 0) until its first
     // task, however late the OS first runs it.
     exec_threads_.emplace_back([this, i, shard] {
@@ -649,13 +638,9 @@ void Server::Shutdown() {
     }
   }
   // After the drain there are no tasks in flight: closing a task queue
-  // stops that worker's staging thread, which flags stage_done and lets
-  // the execution thread drain `staged` (already empty) and exit.
+  // lets that worker's exec thread exit.
   for (auto& queue : task_queues_) {
     queue->Close();
-  }
-  for (std::thread& t : stager_threads_) {
-    t.join();
   }
   for (std::thread& t : exec_threads_) {
     // A chaos-killed exec thread the watchdog already joined (and maybe
@@ -810,76 +795,35 @@ void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
   WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
 
   // Reclaim the undone stream. Every task this worker was handed is in
-  // exactly one place — the task queue, the stager's hands, `staged`, or
-  // the exec thread — and each resolves exactly once: queued and staged
-  // tasks are requeued here, a task the stager holds comes back via
-  // RequeueMsg (it sees the flag at its next lock acquisition), and the
-  // exec thread's in-flight task either completes on wake (hung) or is
-  // requeued from the pipeline's copy (dead).
+  // exactly one place — the task queue, the exec thread's hands before it
+  // commits, or running on the exec thread — and each resolves exactly
+  // once: queued tasks are requeued here, a popped task comes back via
+  // RequeueMsg (the exec thread sees the flag when it commits), and the
+  // running task either completes on wake (hung) or is requeued from the
+  // pipeline's copy (dead).
   std::vector<BatchedTask> reclaimed;
   {
     std::lock_guard<std::mutex> lock(pipe.mu);
     pipe.quarantined = true;
-    int64_t max_seq = pipe.executed_seq;
-    bool reset_parity[2] = {false, false};
-    for (WorkerPipeline::StagedTask& st : pipe.staged) {
-      max_seq = std::max(max_seq, st.seq);
-      reset_parity[st.seq & 1] = true;
-      // Retire the spliced task's hazard keys: clean entries sit in
-      // unscattered, poisoned/skipped ones in failed_produced, and either
-      // would mis-block or mis-poison a later stream after re-admission.
-      for (const TaskEntry& entry : st.wt.task.entries) {
-        const uint64_t key = HazardKey(entry.request, entry.node);
-        pipe.unscattered.erase(key);
-        pipe.failed_produced.erase(key);
-      }
-      reclaimed.push_back(std::move(st.wt.task));
-    }
-    pipe.staged.clear();  // drops the gathered views into the arenas
     if (msg.dead) {
       if (pipe.inflight_valid) {
-        max_seq = std::max(max_seq, pipe.inflight_seq);
-        // The dead thread owned this parity (it was joined before the
-        // message was sent), so resetting it here is single-threaded.
-        reset_parity[pipe.inflight_seq & 1] = true;
+        // Retire the dead task's poison keys: they would mis-poison a
+        // later stream after re-admission.
         for (const TaskEntry& entry : pipe.inflight_task.entries) {
-          const uint64_t key = HazardKey(entry.request, entry.node);
-          pipe.unscattered.erase(key);
-          pipe.failed_produced.erase(key);
+          pipe.failed_produced.erase(HazardKey(entry.request, entry.node));
         }
         reclaimed.push_back(std::move(pipe.inflight_task));
         pipe.inflight_valid = false;
-        pipe.inflight_seq = -1;
       }
       // The dead thread left its busy marker set; clear it so the
       // watchdog's idle probe can pass once the replacement runs.
       pipe.busy_task_seq.store(-1, std::memory_order_release);
-    } else if (pipe.inflight_valid) {
-      // Hung: the exec thread still owns its task's arena — leave it; it
-      // is reset on wake like any other completed task's.
-      reset_parity[pipe.inflight_seq & 1] = false;
     }
-    // Reset exactly the parities of the tasks reclaimed above — never
-    // both unconditionally. The stager may be running a gather right now
-    // without holding mu (it only checks `quarantined` before the hazard
-    // wait and at publish); the seq it owns is gated by executed_seq to
-    // at most one past every seq reclaimed here, so it is the *opposite*
-    // parity of any reclaimed task, and the stager's own quarantine-abort
-    // publish Reset()s that arena before handing its task back.
-    for (int p = 0; p < 2; ++p) {
-      if (reset_parity[p]) {
-        pipe.staging[p]->Reset();
-      }
-    }
-    // Spliced seqs will never execute; publishing them as "executed" keeps
-    // the stager's arena-reuse wait from deadlocking on a hole.
-    pipe.executed_seq = max_seq;
   }
   // Ack strictly after the reclaim above is published: the watchdog only
   // probes for re-admission once the counter advances, so a ReadmitMsg can
   // never overtake this quarantine through the inbox.
   pipe.quarantine_acks.fetch_add(1);
-  pipe.cv.notify_all();
 
   for (WorkerTask& wt : task_queues_[static_cast<size_t>(worker)]->DrainAll()) {
     reclaimed.push_back(std::move(wt.task));
@@ -900,8 +844,8 @@ void Server::HandleReadmit(Shard& shard, const ReadmitMsg& msg) {
     pipe.quarantined = false;
   }
   metrics_.worker(worker).readmissions.fetch_add(1, std::memory_order_relaxed);
-  // The refill Readmit formed goes out only now that the stager accepts
-  // tasks again.
+  // The refill Readmit formed goes out only now that the exec thread
+  // accepts tasks again.
   Dispatch(*shard.core);
 }
 
@@ -962,10 +906,8 @@ void Server::WatchdogCheckWorker(int worker, double now_micros) {
     if (now_micros < watch.next_probe) {
       return;
     }
-    // Re-admission probe: the exec thread must be alive and idle. Idle
-    // means it holds no task, so every arena parity has been reset by its
-    // last owner (quarantine splice, stager abort, or a completed
-    // execution) and the re-admitted stream restarts clean.
+    // Re-admission probe: the exec thread must be alive and idle (it holds
+    // no task), so the re-admitted stream restarts clean.
     if (pipe.exec_alive.load() == 1 &&
         pipe.busy_task_seq.load(std::memory_order_acquire) == -1) {
       watch.quarantined = false;
@@ -1038,11 +980,6 @@ BlockingQueue<Server::ManagerMsg>& Server::InboxOf(int worker) {
   return shards_[static_cast<size_t>(shard_of_worker_[static_cast<size_t>(worker)])]->inbox;
 }
 
-void Server::HandBack(BatchedTask task) {
-  const int worker = task.worker;
-  InboxOf(worker).Push(ManagerMsg{RequeueMsg{std::move(task)}});
-}
-
 void Server::FailWholeTask(BatchedTask task, int victim_entry) {
   const int batch = task.BatchSize();
   trace_.TaskFailed(task.id, task.type, task.worker, batch);
@@ -1057,235 +994,21 @@ void Server::FailWholeTask(BatchedTask task, int victim_entry) {
   InboxOf(worker).Push(ManagerMsg{std::move(msg)});
 }
 
-void Server::RetireTask(WorkerPipeline& pipe, std::unique_lock<std::mutex> lock,
-                        int64_t seq) {
-  // The max keeps a quarantine's splice — which may have published a
-  // higher executed_seq already — from moving backwards.
-  pipe.executed_seq = std::max(pipe.executed_seq, seq);
-  if (health_on_) {
-    pipe.inflight_valid = false;
-    pipe.inflight_seq = -1;
-  }
-  lock.unlock();
-  pipe.cv.notify_all();
-  if (health_on_) {
-    pipe.Beat(NowMicros());
-    pipe.busy_task_seq.store(-1, std::memory_order_release);
-  }
-}
-
-void Server::StageLoop(int worker) {
-  SetCurrentThreadName("worker/" + std::to_string(worker) + "-stager");
-  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
-  const int my_node = numa_on_ ? worker_node_[static_cast<size_t>(worker)] : -1;
-  if (my_node >= 0) {
-    PinCurrentThreadToCpus(topology_.nodes[static_cast<size_t>(my_node)].cpus);
-    // First-touch the double-buffered staging arenas from the pinned owner:
-    // their steady-state pages land on this node, so gathers write locally.
-    pipe.staging[0]->Prefault(size_t{1} << 20);
-    pipe.staging[1]->Prefault(size_t{1} << 20);
-  }
-  auto& queue = *task_queues_[static_cast<size_t>(worker)];
-  // Stream seqs are consumed only when a task is *published* to `staged`:
-  // a quarantine-aborted task is handed back without a seq, so the exec
-  // thread's executed_seq never has to step over a hole.
-  int64_t next_seq = 0;
-  while (auto wt = queue.Pop()) {
-    const int64_t seq = next_seq;
-    const size_t batch = wt->task.entries.size();
-
-    if (health_on_) {
-      // A task popped after (or racing with) a quarantine goes straight
-      // back: the manager's queue drain and this check together cover
-      // every task the stager could be holding.
-      bool reclaim;
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        reclaim = pipe.quarantined;
-      }
-      if (reclaim) {
-        HandBack(std::move(wt->task));
-        continue;
-      }
-      pipe.Beat(NowMicros());
-    }
-
-    WorkerPipeline::StagedTask st;
-    st.seq = seq;
-
-    // Injected faults are decided at stage time, before any gather: every
-    // later task of this stream then sees the poison keys when it stages,
-    // so a consumer can never block on (or read) the missing outputs.
-    if (fault_injector_.ShouldFail(wt->task.id)) {
-      st.skip = true;
-      st.victim = fault_injector_.VictimEntry(wt->task.id, static_cast<int>(batch));
-      st.wt = std::move(*wt);
-      if (pipe.PublishSkipped(st)) {
-        ++next_seq;
-      } else {
-        HandBack(std::move(st.wt.task));
-      }
-      continue;
-    }
-
-    // Keys of internal inputs: producers that must have scattered before
-    // this task's rows can be gathered (hazard 1 above). A producer that
-    // *failed* instead puts its key in failed_produced, never unscattered,
-    // so the wait below cannot block on it; the poisoned mask is computed
-    // under the same lock, after the wait, when every producer has either
-    // scattered or failed for good.
-    std::vector<uint64_t> input_keys;
-    for (size_t i = 0; i < batch; ++i) {
-      const TaskEntry& entry = wt->task.entries[i];
-      const CellNode& node = wt->states[i]->graph.node(entry.node);
-      for (const ValueRef& ref : node.inputs) {
-        if (!ref.is_external()) {
-          input_keys.push_back(HazardKey(entry.request, ref.node));
-        }
-      }
-    }
-    size_t num_poisoned = 0;
-    {
-      std::unique_lock<std::mutex> lock(pipe.mu);
-      pipe.cv.wait(lock, [&] {
-        if (health_on_ && pipe.quarantined) {
-          return true;  // abort: the manager reclaimed this stream
-        }
-        if (pipe.executed_seq < seq - 2) {
-          return false;  // staging[seq % 2] still holds task seq-2's buffers
-        }
-        for (uint64_t key : input_keys) {
-          if (pipe.unscattered.count(key) != 0) {
-            return false;  // a producer has not scattered yet
-          }
-        }
-        return true;
-      });
-      if (health_on_ && pipe.quarantined) {
-        lock.unlock();
-        HandBack(std::move(wt->task));
-        continue;
-      }
-      if (!pipe.failed_produced.empty()) {
-        st.poisoned.assign(batch, 0);
-        for (size_t i = 0; i < batch; ++i) {
-          const TaskEntry& entry = wt->task.entries[i];
-          const CellNode& node = wt->states[i]->graph.node(entry.node);
-          for (const ValueRef& ref : node.inputs) {
-            if (!ref.is_external() &&
-                pipe.failed_produced.count(HazardKey(entry.request, ref.node)) != 0) {
-              st.poisoned[i] = 1;
-              num_poisoned++;
-              break;
-            }
-          }
-        }
-        if (num_poisoned == 0) {
-          st.poisoned.clear();
-        }
-      }
-    }
-
-    if (num_poisoned == batch) {
-      // Every entry consumes a failed producer: a pure cascade, nothing to
-      // gather or execute. Blame stays with the original fault.
-      st.skip = true;
-      st.poisoned.clear();
-      st.wt = std::move(*wt);
-      if (pipe.PublishSkipped(st)) {
-        ++next_seq;
-      } else {
-        HandBack(std::move(st.wt.task));
-      }
-      continue;
-    }
-
-    trace_.GatherBegin(wt->task.id, wt->task.type, worker, wt->task.BatchSize());
-    // Compute-free backends stage nothing; the hazard bookkeeping above and
-    // below still ran, so stream-order invariants hold for every backend.
-    if (caps_.requires_gather) {
-      backend_->Gather(wt->task, wt->states, &st.gathered,
-                       pipe.staging[seq & 1].get(),
-                       st.poisoned.empty() ? nullptr : &st.poisoned);
-    }
-    trace_.GatherEnd(wt->task.id, wt->task.type, worker, wt->task.BatchSize());
-    if (health_on_) {
-      pipe.Beat(NowMicros());
-    }
-
-    if (my_node >= 0) {
-      // Estimated cross-node gather traffic: rows whose producing request
-      // last scattered on another node, priced at the task's mean row
-      // bytes. An upper bound (the row may have been node-local anyway
-      // after a steal) and purely diagnostic.
-      int64_t gathered_bytes = 0;
-      for (const Tensor& t : st.gathered.inputs) {
-        gathered_bytes +=
-            t.NumElements() * static_cast<int64_t>(DTypeSize(t.dtype()));
-      }
-      int64_t remote_rows = 0;
-      for (size_t i = 0; i < batch; ++i) {
-        if (!st.poisoned.empty() && st.poisoned[i] != 0) {
-          continue;
-        }
-        const int producer_node =
-            wt->states[i]->last_scatter_node.load(std::memory_order_relaxed);
-        if (producer_node >= 0 && producer_node != my_node) {
-          ++remote_rows;
-        }
-      }
-      if (remote_rows > 0) {
-        metrics_.node(my_node).remote_gather_bytes.fetch_add(
-            gathered_bytes * remote_rows / static_cast<int64_t>(batch),
-            std::memory_order_relaxed);
-      }
-    }
-
-    bool reclaim = false;
-    {
-      std::lock_guard<std::mutex> lock(pipe.mu);
-      if (health_on_ && pipe.quarantined) {
-        // Quarantined between the hazard wait and this publish: the rows
-        // just gathered will never execute. This thread still owns the
-        // arena (the task was never published), so recycle it and hand the
-        // task back without consuming the seq.
-        st.gathered.inputs.clear();
-        pipe.staging[seq & 1]->Reset();
-        reclaim = true;
-      } else {
-        for (size_t i = 0; i < batch; ++i) {
-          const TaskEntry& entry = wt->task.entries[i];
-          const uint64_t key = HazardKey(entry.request, entry.node);
-          if (!st.poisoned.empty() && st.poisoned[i] != 0) {
-            pipe.failed_produced.insert(key);  // propagate the cascade
-          } else {
-            // Self-clean: a node re-staged here after a failed attempt (the
-            // revert machinery re-scheduled it to this worker) supersedes its
-            // stale poison key.
-            pipe.failed_produced.erase(key);
-            pipe.unscattered.insert(key);
-          }
-        }
-        st.wt = std::move(*wt);
-        pipe.staged.push_back(std::move(st));
-        ++next_seq;
-      }
-    }
-    if (reclaim) {
-      HandBack(std::move(wt->task));
-      continue;
-    }
-    pipe.cv.notify_all();
+void Server::RetireTask(WorkerPipeline& pipe) {
+  if (!health_on_) {
+    return;
   }
   {
     std::lock_guard<std::mutex> lock(pipe.mu);
-    pipe.stage_done = true;
+    pipe.inflight_valid = false;
   }
-  pipe.cv.notify_all();
+  pipe.Beat(NowMicros());
+  pipe.busy_task_seq.store(-1, std::memory_order_release);
 }
 
 void Server::ExecLoop(int worker, double idle_since) {
   SetCurrentThreadName("worker/" + std::to_string(worker) + "-exec");
+  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
   // Pin before constructing the pool: spawned pool threads inherit this
   // thread's affinity mask, so one pin covers the whole intra-task pool.
   const int my_node = numa_on_ ? worker_node_[static_cast<size_t>(worker)] : -1;
@@ -1295,13 +1018,14 @@ void Server::ExecLoop(int worker, double idle_since) {
     worker_pinned_[static_cast<size_t>(worker)].store(pinned,
                                                       std::memory_order_relaxed);
     trace_.WorkerPinned(worker, my_node, pinned);
+    // First-touch the staging arena from the pinned owner: its steady-state
+    // pages land on this node, so gathers write locally.
+    pipe.staging->Prefault(size_t{1} << 20);
   }
   // This worker's execution resources — intra-task pool, scratch arena,
-  // NUMA weight replicas — now live inside its device queue, constructed
-  // here on the pinned thread so backend allocations inherit the affinity
-  // and first-touch placement. Gather buffers live in the pipeline's
-  // staging arenas instead, so a task's inputs survive while the previous
-  // task executes here. Destroying the queue (normal exit, chaos exit)
+  // NUMA weight replicas — live inside its device queue, constructed here
+  // on the pinned thread so backend allocations inherit the affinity and
+  // first-touch placement. Destroying the queue (normal exit, chaos exit)
   // releases the replicas, so a respawned thread re-acquires them by
   // re-creating it.
   DeviceQueueOptions qopts;
@@ -1312,13 +1036,13 @@ void Server::ExecLoop(int worker, double idle_since) {
   qopts.replicate_weights = numa_replicate_ && my_node >= 0;
   std::unique_ptr<DeviceQueue> queue = backend_->CreateQueue(qopts);
   BM_CHECK(queue != nullptr);
-  WorkerPipeline& pipe = *pipelines_[static_cast<size_t>(worker)];
+  auto& tasks = *task_queues_[static_cast<size_t>(worker)];
   // Completions go to the inbox of the shard that owns this worker.
   auto& inbox = InboxOf(worker);
   // Closes the open idle interval (idle_since >= 0): the gap the watermark
-  // protocol exists to shrink, when this worker's cores had nothing staged
-  // to run. Accumulated onto the pipeline's total so a respawned thread
-  // keeps its predecessor's share.
+  // protocol exists to shrink, when this worker's stream was empty.
+  // Accumulated onto the pipeline's total so a respawned thread keeps its
+  // predecessor's share.
   const auto close_idle = [&] {
     if (idle_since < 0.0) {
       return;
@@ -1335,54 +1059,59 @@ void Server::ExecLoop(int worker, double idle_since) {
     pipe.exec_alive.store(1);
   }
 
+  GatheredBatch gathered;
   for (;;) {
-    WorkerPipeline::StagedTask st;
-    {
-      std::unique_lock<std::mutex> lock(pipe.mu);
-      if (pipe.staged.empty() && !pipe.stage_done) {
-        // Nothing staged: this worker idles until the manager round-trips
-        // a refill (or the stager finishes a gather).
-        if (idle_since < 0.0) {
-          idle_since = NowMicros();
-        }
-        pipe.cv.wait(lock,
-                     [&] { return !pipe.staged.empty() || pipe.stage_done; });
+    std::optional<WorkerTask> wt = tasks.TryPop();
+    if (!wt) {
+      // Nothing queued: this worker idles until the manager round-trips a
+      // refill.
+      if (idle_since < 0.0) {
+        idle_since = NowMicros();
       }
-      if (pipe.staged.empty()) {
-        break;  // stage_done and fully drained
+      wt = tasks.Pop();
+      if (!wt) {
+        break;  // closed and drained
       }
-      st = std::move(pipe.staged.front());
-      pipe.staged.pop_front();
     }
     close_idle();
+    BatchedTask& task = wt->task;
+    const std::vector<RequestState*>& states = wt->states;
+    const int batch = task.BatchSize();
+    // Injected faults are decided before anything is gathered: the task
+    // then produces nothing, exactly like a pure cascade.
+    const bool injected = fault_injector_.ShouldFail(task.id);
 
-    const int batch = st.wt.task.BatchSize();
+    // A task popped after (or racing with) a quarantine goes straight
+    // back: the manager's queue drain and the commit's check together
+    // cover every task this thread could be holding.
+    std::vector<uint8_t> poisoned;
+    const int64_t seq = pipe.Commit(*wt, injected, health_on_, &poisoned);
+    if (seq < 0) {
+      inbox.Push(ManagerMsg{RequeueMsg{std::move(task)}});
+      continue;
+    }
+    const int num_poisoned =
+        static_cast<int>(std::count(poisoned.begin(), poisoned.end(), uint8_t{1}));
+    if (num_poisoned == 0) {
+      poisoned.clear();
+    }
 
     if (health_on_) {
       // Heartbeat + busy marker: record what this thread is about to be
-      // inside so the watchdog can price the expected span. The in-flight
-      // copy (under mu) is the manager's handle for reclaiming the task if
-      // this thread dies inside it.
+      // inside so the watchdog can price the expected span.
       const double now = NowMicros();
       pipe.Beat(now);
       pipe.busy_since.store(now, std::memory_order_relaxed);
-      pipe.busy_type.store(static_cast<int>(st.wt.task.type),
-                           std::memory_order_relaxed);
+      pipe.busy_type.store(static_cast<int>(task.type), std::memory_order_relaxed);
       pipe.busy_batch.store(batch, std::memory_order_relaxed);
-      pipe.busy_task_seq.store(st.seq, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(pipe.mu);
-        pipe.inflight_task = st.wt.task;
-        pipe.inflight_seq = st.seq;
-        pipe.inflight_valid = true;
-      }
+      pipe.busy_task_seq.store(seq, std::memory_order_release);
     }
     double slowdown = 1.0;
     if (chaos_on) {
       // Deterministic worker chaos (watchdog drills), keyed on
       // (worker, stream seq): hang before executing, die before
       // executing, or stretch the exec span below.
-      const WorkerChaos chaos = fault_injector_.ChaosAt(worker, st.seq);
+      const WorkerChaos chaos = fault_injector_.ChaosAt(worker, seq);
       slowdown = chaos.slowdown_factor;
       if (chaos.hang_micros > 0.0) {
         std::this_thread::sleep_for(
@@ -1402,16 +1131,57 @@ void Server::ExecLoop(int worker, double idle_since) {
       }
     }
 
-    if (st.skip) {
-      // Injected fault or pure cascade: nothing was gathered and nothing
-      // executes. Advance the stream (the staging arena was never touched;
-      // its keys are already in failed_produced) and report the failure.
-      RetireTask(pipe, std::unique_lock<std::mutex>(pipe.mu), st.seq);
-      if (st.victim >= 0) {
+    if (num_poisoned == batch) {
+      // Injected fault or pure cascade: nothing to gather or execute (the
+      // entries' keys are already in failed_produced). Blame for a cascade
+      // stays with the original fault.
+      RetireTask(pipe);
+      int victim = -1;
+      if (injected) {
+        victim = fault_injector_.VictimEntry(task.id, batch);
         tasks_failed_.fetch_add(1);  // cascades count the original fault only
       }
-      FailWholeTask(std::move(st.wt.task), st.victim);
+      FailWholeTask(std::move(task), victim);
       continue;
+    }
+
+    trace_.GatherBegin(task.id, task.type, worker, batch);
+    // Compute-free backends stage nothing; the poison bookkeeping above
+    // still ran, so stream-order invariants hold for every backend.
+    if (caps_.requires_gather) {
+      backend_->Gather(task, states, &gathered, pipe.staging.get(),
+                       poisoned.empty() ? nullptr : &poisoned);
+    }
+    trace_.GatherEnd(task.id, task.type, worker, batch);
+    if (health_on_) {
+      pipe.Beat(NowMicros());
+    }
+
+    if (my_node >= 0) {
+      // Estimated cross-node gather traffic: rows whose producing request
+      // last scattered on another node, priced at the task's mean row
+      // bytes. An upper bound (the row may have been node-local anyway
+      // after a steal) and purely diagnostic.
+      int64_t gathered_bytes = 0;
+      for (const Tensor& t : gathered.inputs) {
+        gathered_bytes +=
+            t.NumElements() * static_cast<int64_t>(DTypeSize(t.dtype()));
+      }
+      int64_t remote_rows = 0;
+      for (int i = 0; i < batch; ++i) {
+        if (!poisoned.empty() && poisoned[static_cast<size_t>(i)] != 0) {
+          continue;
+        }
+        const int producer_node = states[static_cast<size_t>(i)]->last_scatter_node.load(
+            std::memory_order_relaxed);
+        if (producer_node >= 0 && producer_node != my_node) {
+          ++remote_rows;
+        }
+      }
+      if (remote_rows > 0) {
+        metrics_.node(my_node).remote_gather_bytes.fetch_add(
+            gathered_bytes * remote_rows / batch, std::memory_order_relaxed);
+      }
     }
 
     const double exec_start = NowMicros();
@@ -1419,19 +1189,16 @@ void Server::ExecLoop(int worker, double idle_since) {
     // worker may win the CAS, and readers only look after the completion
     // has round-tripped through the inbox. Poisoned entries did not begin
     // executing — they stay eligible for deadline shedding.
-    for (size_t i = 0; i < st.wt.states.size(); ++i) {
-      if (st.poisoned.empty() || st.poisoned[i] == 0) {
-        st.wt.states[i]->MarkExecStarted(exec_start);
+    for (int i = 0; i < batch; ++i) {
+      if (poisoned.empty() || poisoned[static_cast<size_t>(i)] == 0) {
+        states[static_cast<size_t>(i)]->MarkExecStarted(exec_start);
       }
     }
-    trace_.ExecBegin(exec_start, st.wt.task.id, st.wt.task.type, worker, batch);
-    // Submit to the device stream and fence on completion. The CPU backend
-    // executes inline (the event returns signalled); async backends overlap
-    // device work with the next task's gather. A failed event means the
-    // whole task produced nothing — treated exactly like an injected fault
-    // with no victim.
-    DeviceEventPtr done = queue->Submit(st.wt.task, st.gathered);
-    done->Wait();
+    trace_.ExecBegin(exec_start, task.id, task.type, worker, batch);
+    // Run the task on the device queue. A failed result means the whole
+    // task produced nothing — treated exactly like an injected fault with
+    // no victim.
+    DeviceEventPtr done = queue->Submit(task, gathered);
     const bool exec_threw = done->failed();
     std::vector<Tensor> outputs = done->TakeOutputs();
     if (slowdown > 1.0) {
@@ -1443,68 +1210,51 @@ void Server::ExecLoop(int worker, double idle_since) {
     }
     // The gather buffers are dead: drop the arena-backed tensors, then
     // recycle the staging arena (the backend recycled its own scratch
-    // inside Submit). Resetting staging[seq % 2] before publishing
-    // executed_seq (below, under mu) is what makes it safe for the stager
-    // to reuse — its wait on executed_seq orders the reset before any new
-    // gather into that arena.
-    st.gathered.inputs.clear();
-    pipe.staging[st.seq & 1]->Reset();
+    // inside Submit).
+    gathered.inputs.clear();
+    pipe.staging->Reset();
 
     if (exec_threw) {
-      std::unique_lock<std::mutex> lock(pipe.mu);
-      for (const TaskEntry& entry : st.wt.task.entries) {
-        const uint64_t key = HazardKey(entry.request, entry.node);
-        pipe.unscattered.erase(key);
-        pipe.failed_produced.insert(key);
+      {
+        std::lock_guard<std::mutex> lock(pipe.mu);
+        for (const TaskEntry& entry : task.entries) {
+          pipe.failed_produced.insert(HazardKey(entry.request, entry.node));
+        }
       }
-      RetireTask(pipe, std::move(lock), st.seq);
+      RetireTask(pipe);
       tasks_failed_.fetch_add(1);
-      FailWholeTask(std::move(st.wt.task), /*victim_entry=*/-1);
+      FailWholeTask(std::move(task), /*victim_entry=*/-1);
       continue;
     }
 
-    queue->Scatter(st.wt.task, st.wt.states, outputs,
-                   st.poisoned.empty() ? nullptr : &st.poisoned);
+    queue->Scatter(task, states, outputs, poisoned.empty() ? nullptr : &poisoned);
     if (my_node >= 0) {
-      // Remember where these requests' outputs now live; stagers use it to
-      // estimate cross-node gather traffic (diagnostic only).
-      for (size_t i = 0; i < st.wt.states.size(); ++i) {
-        if (st.poisoned.empty() || st.poisoned[i] == 0) {
-          st.wt.states[i]->last_scatter_node.store(my_node,
-                                                   std::memory_order_relaxed);
+      // Remember where these requests' outputs now live; later gathers use
+      // it to estimate cross-node traffic (diagnostic only).
+      for (int i = 0; i < batch; ++i) {
+        if (poisoned.empty() || poisoned[static_cast<size_t>(i)] == 0) {
+          states[static_cast<size_t>(i)]->last_scatter_node.store(
+              my_node, std::memory_order_relaxed);
         }
       }
     }
-    {
-      std::unique_lock<std::mutex> lock(pipe.mu);
-      for (size_t i = 0; i < st.wt.task.entries.size(); ++i) {
-        if (st.poisoned.empty() || st.poisoned[i] == 0) {
-          const TaskEntry& entry = st.wt.task.entries[i];
-          pipe.unscattered.erase(HazardKey(entry.request, entry.node));
-        }
-        // Poisoned keys were never in unscattered; they stay poisoned in
-        // failed_produced until purged by unpark or finalization.
-      }
-      RetireTask(pipe, std::move(lock), st.seq);
-    }
-    trace_.ExecEnd(st.wt.task.id, st.wt.task.type, worker, batch);
+    RetireTask(pipe);
+    trace_.ExecEnd(task.id, task.type, worker, batch);
     tasks_executed_.fetch_add(1);
     if (online_cost_model_ != nullptr) {
       // Calibration sample: measured execute+scatter span for this
       // (type, batch). The EWMA smooths scheduling noise; every
       // refit_interval samples the model re-fits the type's cost curve.
-      online_cost_model_->Observe(st.wt.task.type, batch, NowMicros() - exec_start);
+      online_cost_model_->Observe(task.type, batch, NowMicros() - exec_start);
     }
 
     CompletionMsg msg;
-    if (!st.poisoned.empty()) {
-      for (int i = 0; i < batch; ++i) {
-        if (st.poisoned[static_cast<size_t>(i)] != 0) {
-          msg.failed_entries.push_back(i);
-        }
+    for (int i = 0; i < static_cast<int>(poisoned.size()); ++i) {
+      if (poisoned[static_cast<size_t>(i)] != 0) {
+        msg.failed_entries.push_back(i);
       }
     }
-    msg.task = std::move(st.wt.task);
+    msg.task = std::move(task);
     inbox.Push(ManagerMsg{std::move(msg)});
   }
 

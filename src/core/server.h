@@ -14,9 +14,9 @@
 // has nothing pinned and re-pins to the adopter's workers).
 // num_shards = 1 reproduces the single-manager behaviour exactly.
 //
-// Per-worker thread pairs (standing in for the paper's per-GPU workers)
-// execute batched tasks from their FIFO task streams on the CPU via the
-// BatchAssembler. Completed tasks flow back to the owning shard's manager
+// One execution thread per worker (standing in for the paper's per-GPU
+// workers) runs batched tasks from its FIFO task stream on the worker's
+// device queue. Completed tasks flow back to the owning shard's manager
 // through its inbox; the manager updates dependencies, schedules follow-up
 // tasks, and fires the request callback when a request's last cell
 // finishes — so a short request returns immediately even when batched with
@@ -26,13 +26,10 @@
 // manager keeps every worker's stream `pipeline_depth` tasks deep
 // (watermark refill on each completion), so a worker never drains its
 // pipeline and then idles for a completion→manager→schedule round-trip.
-// Each worker splits task processing across two threads: a *staging*
-// thread gathers task t+1's input rows into a double-buffered staging
-// arena while the *execution* thread runs task t's cells on the intra-task
-// pool and scatters its outputs. Scatter stays in stream order and the
-// staging thread waits out read-after-write hazards against unscattered
-// tasks, so results are bitwise identical to SyncEngine at any depth and
-// any shard count.
+// The execution thread gathers, executes and scatters each task before it
+// pops the next, so a task only ever reads rows its stream has already
+// scattered, and results are bitwise identical to SyncEngine at any depth
+// and any shard count.
 //
 // Thread-safety contract: a request's tensors are only touched by the
 // worker executing a task containing the request's nodes. The scheduler
@@ -200,10 +197,9 @@ class Server {
   int64_t StealsExecuted() const { return metrics_.TotalSteals(); }
 
   // Total microseconds worker `worker`'s execution thread spent with
-  // nothing to execute (waiting for the manager to refill its stream or
-  // for the staging thread to finish a gather). The watermark protocol
-  // exists to shrink this; fig07 reports it per depth. Thread-safe; stable
-  // only after Shutdown.
+  // nothing to execute (waiting for the manager to refill its stream). The
+  // watermark protocol exists to shrink this; fig07 reports it per depth.
+  // Thread-safe; stable only after Shutdown.
   double WorkerIdleMicros(int worker) const;
   double TotalWorkerIdleMicros() const;
 
@@ -294,8 +290,8 @@ class Server {
   struct ReadmitMsg {
     int worker;
   };
-  // A staging thread hands back a task it popped but will not stage
-  // because its worker was quarantined mid-flight.
+  // An exec thread hands back a task it popped but will not run because
+  // its worker was quarantined meanwhile.
   struct RequeueMsg {
     BatchedTask task;
   };
@@ -311,8 +307,8 @@ class Server {
     std::vector<RequestState*> states;
   };
 
-  // Per-worker pipeline state shared by the staging and execution threads
-  // (defined in server.cc).
+  // Per-worker stream state shared by the exec thread, its shard manager
+  // and the watchdog (defined in server.cc).
   struct WorkerPipeline;
   // One manager shard: its ShardCore, inbox and manager thread (defined in
   // server.cc).
@@ -324,8 +320,9 @@ class Server {
   void Dispatch(ShardCore& core);
   // ---- Worker failure domains (shard manager thread only) ----
   // Pulls `msg.worker` from scheduling and reclaims its undone stream:
-  // queued tasks, staged-but-unexecuted tasks, and (dead only) the task
-  // the exec thread died inside, all requeued via Scheduler::RequeueTask.
+  // queued tasks and (dead only) the task the exec thread died inside, all
+  // requeued via Scheduler::RequeueTask. A task the exec thread popped but
+  // has not committed to comes back through a RequeueMsg.
   void HandleQuarantine(Shard& shard, const QuarantineMsg& msg);
   void HandleReadmit(Shard& shard, const ReadmitMsg& msg);
   // Watchdog thread: samples worker heartbeats every
@@ -336,21 +333,17 @@ class Server {
   void WatchdogCheckWorker(int worker, double now_micros);
 
   // ---- Worker threads ----
-  void StageLoop(int worker);
   // `idle_since` opens the thread's first idle interval: Start's instant,
   // or the respawn instant for a replacement thread.
   void ExecLoop(int worker, double idle_since);
   // The inbox of the shard that owns `worker`.
   BlockingQueue<ManagerMsg>& InboxOf(int worker);
-  // Hands a task a quarantined worker will not run back to its shard.
-  void HandBack(BatchedTask task);
   // Reports every entry of `task` failed; `victim_entry` is the entry
   // blamed for an injected fault, -1 for none.
   void FailWholeTask(BatchedTask task, int victim_entry);
-  // Stream tail of one task (executed, failed or skipped), entered with
-  // the pipeline's mutex held: publishes `seq` as executed, drops the
-  // in-flight copy, wakes the stager and releases the busy marker.
-  void RetireTask(WorkerPipeline& pipe, std::unique_lock<std::mutex> lock, int64_t seq);
+  // Stream tail of one task (executed, failed or skipped): drops the
+  // in-flight copy and releases the busy marker (watchdog on only).
+  void RetireTask(WorkerPipeline& pipe);
   // Validation half of Submit; returns an error description or empty.
   std::string ValidateSubmission(const CellGraph& graph,
                                  const std::vector<Tensor>& externals,
@@ -362,8 +355,8 @@ class Server {
   AdmissionOptions admission_;
   int num_shards_ = 1;
   // The execution device (EngineOptions::backend via DeviceRegistry).
-  // Owns gather/execute/scatter; the Server owns scheduling, hazards and
-  // the stream protocol. caps_ is a copy taken at construction.
+  // Owns gather/execute/scatter; the Server owns scheduling, failure
+  // poisoning and the stream protocol. caps_ is a copy taken at construction.
   std::unique_ptr<DeviceBackend> backend_;
   DeviceCaps caps_;
   TraceRecorder trace_;
@@ -423,10 +416,9 @@ class Server {
   std::vector<std::unique_ptr<BlockingQueue<WorkerTask>>> task_queues_;
   std::vector<std::unique_ptr<WorkerPipeline>> pipelines_;
 
-  std::vector<std::thread> stager_threads_;  // one staging thread per worker
-  // One exec thread per worker, kept separate so the watchdog can join a
-  // dead one and respawn it in place. Written by Start, then only by the
-  // watchdog thread until it stops; Shutdown joins after the watchdog.
+  // One exec thread per worker; the watchdog joins a dead one and respawns
+  // it in place. Written by Start, then only by the watchdog thread until
+  // it stops; Shutdown joins after the watchdog.
   std::vector<std::thread> exec_threads_;
   std::atomic<RequestId> next_request_id_{1};
   std::atomic<int64_t> tasks_executed_{0};

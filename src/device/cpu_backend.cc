@@ -126,9 +126,9 @@ void CpuBackend::Gather(const BatchedTask& task,
                         const std::vector<RequestState*>& states,
                         GatheredBatch* out, DeviceArena* staging,
                         const std::vector<uint8_t>* poisoned) const {
-  // No pool: the execution thread owns the worker's intra-task pool, and
-  // the pool admits one submitter at a time. Staging gathers serially —
-  // it is off the critical path whenever it overlaps an execution.
+  // No pool: the worker's intra-task pool lives inside its queue, so the
+  // gather runs serially on the calling (execution) thread, on the
+  // critical path between two executions.
   const ExecContext stage_ctx{/*pool=*/nullptr,
                               staging != nullptr ? staging->host() : nullptr,
                               precision_};

@@ -1,15 +1,14 @@
 // CpuBackend: the real-compute device — pre-packed PackedMatrix GEMM on
-// an intra-task ThreadPool, double-buffered TensorArena staging, and
-// node-local weight replicas under NumaPolicy::kPinReplicate. This is the
-// PR-3 stager/exec pipeline's compute half factored behind DeviceBackend;
-// it drives exactly the same BatchAssembler calls with exactly the same
-// ExecContext the Server used to build inline, so results are bitwise
-// identical to the pre-refactor server (determinism_test proves it).
+// an intra-task ThreadPool, TensorArena staging, and node-local weight
+// replicas under NumaPolicy::kPinReplicate. It drives exactly the same
+// BatchAssembler calls with exactly the same ExecContext the Server used
+// to build inline, so results are bitwise identical to SyncEngine
+// (determinism_test proves it).
 //
 // Submit executes synchronously on the calling (execution) thread and
-// returns an already-signalled event: the CPU "device" *is* the worker
-// thread, so an async hop would only add a context switch. The queue
-// contract (FIFO completion per worker) holds trivially.
+// returns the completed result: the CPU "device" *is* the worker thread,
+// so an async hop would only add a context switch. The queue contract
+// (FIFO completion per worker) holds trivially.
 
 #ifndef SRC_DEVICE_CPU_BACKEND_H_
 #define SRC_DEVICE_CPU_BACKEND_H_

@@ -8,28 +8,27 @@
 //   * DeviceArena  — a staging buffer the gather stage writes batched
 //     input rows into (the CPU backend wraps a TensorArena; a GPU-style
 //     backend would hand out pinned host buffers).
-//   * DeviceQueue  — one per-worker in-order submission queue: enqueue a
-//     gathered task, get back a completion event. FIFO per queue is a
+//   * DeviceQueue  — one per-worker in-order submission queue: submit a
+//     gathered task, get back its completed result. FIFO per queue is a
 //     contract, not an implementation detail — subgraph pinning and the
-//     hazard bookkeeping in the Server rely on it (paper §5: kernels
+//     poison bookkeeping in the Server rely on it (paper §5: kernels
 //     pushed to the same stream execute in submission order).
-//   * DeviceEvent  — the fence for one submitted task: the manager-side
-//     thread waits on it and collects the outputs (or the failure flag).
+//   * DeviceEvent  — the completed result of one submitted task: its
+//     outputs, or the failure flag.
 //   * DeviceBackend — the factory for the above plus capability flags and
 //     the gather/scatter entry points.
 //
 // Ownership and threading rules:
 //   * CreateArena() may be called from any thread; the arena is then owned
-//     by one worker's staging thread (Prefault/Reset from that thread).
+//     by one worker's execution thread (Prefault/Reset from that thread).
 //   * CreateQueue() is called on the worker's *execution* thread, after
 //     any NUMA pinning — so backend allocations inside the queue (thread
 //     pools, scratch arenas, weight replicas) inherit the thread's
 //     affinity and first-touch placement. The queue dies on that thread
 //     too (quarantine respawns re-create it).
-//   * Gather() runs on the staging thread, Submit()/Scatter() on the
-//     execution thread; the engine guarantees a task's gather
-//     happens-before its submit and never overlaps another task using the
-//     same arena parity.
+//   * Gather(), Submit() and Scatter() all run on the worker's execution
+//     thread, one task at a time in stream order: the engine gathers,
+//     submits and scatters task t before it gathers task t+1.
 //
 // The header is dependency-light by design (tensor + runtime + graph
 // layers only, RequestState forward-declared) so the virtual-time worker
@@ -38,15 +37,10 @@
 #ifndef SRC_DEVICE_DEVICE_BACKEND_H_
 #define SRC_DEVICE_DEVICE_BACKEND_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,8 +58,8 @@ class CostModel;      // src/runtime/cost_model.h; virtual-time backends only
 // The gathered per-slot input batches of one task, produced by the gather
 // stage and consumed by DeviceQueue::Submit. When gathered into a
 // DeviceArena the tensors are arena-backed: they must be destroyed
-// (clear()) before that arena is Reset, and must outlive the Submit/Wait
-// pair that executes them.
+// (clear()) before that arena is Reset, and must outlive the Submit that
+// executes them.
 struct GatheredBatch {
   std::vector<Tensor> inputs;  // one [batch, ...] tensor per cell input slot
 };
@@ -81,8 +75,8 @@ struct DeviceCaps {
   // Virtual-time backends are driven by SimEngine, never by the Server.
   bool virtual_time = false;
   // Requires batched input rows gathered into a DeviceArena before Submit.
-  // When false the Server's staging thread skips GatherInputs (hazard
-  // bookkeeping still runs — stream-order invariants are backend-agnostic).
+  // When false the Server skips the gather stage (poison bookkeeping still
+  // runs — stream-order invariants are backend-agnostic).
   bool requires_gather = false;
   // Worker threads may be pinned to NUMA nodes and benefit from node-local
   // staging/scratch placement and weight replicas.
@@ -94,89 +88,24 @@ struct DeviceCaps {
   bool supported_precisions[kNumPrecisions] = {false, false, false};
 };
 
-// The fence for one submitted task. Backends signal it exactly once —
-// Complete / CompleteAfter / Fail — and the engine thread Wait()s and
-// takes the outputs. A fixed-latency completion (NullBackend) carries a
-// ready deadline: Wait sleeps out the remainder, and Signaled() reports
-// true only once the deadline passed, so completion order per queue
-// matches submission order.
+// The completed result of one submitted task. DeviceQueue::Submit runs the
+// task to completion before it returns, so the backend fills the event in
+// exactly once — Complete or Fail — and the engine then reads it.
 class DeviceEvent {
  public:
   // ---- Engine side -------------------------------------------------------
-  // Blocks until the device signalled this event and any fixed-latency
-  // deadline passed.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return signaled_; });
-    const auto deadline = ready_at_;
-    lock.unlock();
-    if (deadline.has_value()) {
-      std::this_thread::sleep_until(*deadline);
-    }
-  }
-  // Non-blocking probe.
-  bool Signaled() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!signaled_) {
-      return false;
-    }
-    return !ready_at_.has_value() ||
-           std::chrono::steady_clock::now() >= *ready_at_;
-  }
   // True when the task produced nothing (kernel threw / device fault).
-  // Valid after Wait().
-  bool failed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return failed_;
-  }
-  // Moves the task's [batch, ...] output tensors out. Valid after Wait();
-  // empty when failed().
-  std::vector<Tensor> TakeOutputs() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return std::move(outputs_);
-  }
+  bool failed() const { return failed_; }
+  // Moves the task's [batch, ...] output tensors out; empty when failed().
+  std::vector<Tensor> TakeOutputs() { return std::move(outputs_); }
 
-  // ---- Device side (each event is signalled exactly once) ----------------
-  void Complete(std::vector<Tensor> outputs) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      outputs_ = std::move(outputs);
-      signaled_ = true;
-    }
-    cv_.notify_all();
-  }
-  // Completion with a fixed latency: the event becomes ready
-  // `latency_micros` after this call (NullBackend's configurable
-  // completion latency).
-  void CompleteAfter(double latency_micros, std::vector<Tensor> outputs) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      outputs_ = std::move(outputs);
-      if (latency_micros > 0.0) {
-        ready_at_ = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double, std::micro>(latency_micros));
-      }
-      signaled_ = true;
-    }
-    cv_.notify_all();
-  }
-  void Fail() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      failed_ = true;
-      signaled_ = true;
-    }
-    cv_.notify_all();
-  }
+  // ---- Device side (each event is completed exactly once) ----------------
+  void Complete(std::vector<Tensor> outputs) { outputs_ = std::move(outputs); }
+  void Fail() { failed_ = true; }
 
  private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool signaled_ = false;
   bool failed_ = false;
   std::vector<Tensor> outputs_;
-  std::optional<std::chrono::steady_clock::time_point> ready_at_;
 };
 
 using DeviceEventPtr = std::shared_ptr<DeviceEvent>;
@@ -215,11 +144,11 @@ struct DeviceQueueOptions {
   bool replicate_weights = false;
 };
 
-// One worker's in-order task stream. Submit enqueues a gathered task and
-// returns its completion event; tasks on one queue complete in submission
-// order. Scatter writes a completed task's output rows back into request
-// state (it stays on the queue because backends that fan scatter over an
-// intra-task pool own that pool).
+// One worker's in-order task stream. Submit runs a gathered task to
+// completion and returns its result; tasks on one queue complete in
+// submission order. Scatter writes a completed task's output rows back
+// into request state (it stays on the queue because backends that fan
+// scatter over an intra-task pool own that pool).
 class DeviceQueue {
  public:
   virtual ~DeviceQueue() = default;
@@ -242,8 +171,8 @@ struct DeviceConfig {
   Precision precision = Precision::kF32;
   // Virtual-time pricing source (SimBackend; null otherwise).
   const CostModel* cost_model = nullptr;
-  // NullBackend: fixed completion latency per submitted task, micros.
-  // 0 = events are ready immediately.
+  // NullBackend: fixed latency of each Submit, micros (0 = returns at
+  // once).
   double null_latency_micros = 0.0;
 };
 
@@ -258,8 +187,8 @@ class DeviceBackend {
   virtual const char* name() const = 0;
   virtual const DeviceCaps& caps() const = 0;
 
-  // One staging buffer (the Server allocates two per worker for the
-  // double-buffered pipeline). Default: the no-op arena.
+  // One staging buffer (the Server allocates one per worker). Default: the
+  // no-op arena.
   virtual std::unique_ptr<DeviceArena> CreateArena() {
     return std::make_unique<DeviceArena>();
   }
@@ -269,8 +198,8 @@ class DeviceBackend {
   // construction failure).
   virtual std::unique_ptr<DeviceQueue> CreateQueue(const DeviceQueueOptions& options) = 0;
 
-  // Gather stage (staging thread): batch one row per task entry, per cell
-  // input slot, into `staging`. No-op default for backends with
+  // Gather stage (execution thread, serial): batch one row per task entry,
+  // per cell input slot, into `staging`. No-op default for backends with
   // !caps().requires_gather.
   virtual void Gather(const BatchedTask& task,
                       const std::vector<RequestState*>& states, GatheredBatch* out,

@@ -1,5 +1,7 @@
 #include "src/device/null_backend.h"
 
+#include <chrono>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,7 +34,12 @@ class NullQueue : public DeviceQueue {
       outputs.push_back(Tensor::Zeros(Shape(std::move(dims)), vt.dtype));
     }
     auto event = std::make_shared<DeviceEvent>();
-    event->CompleteAfter(latency_micros_, std::move(outputs));
+    event->Complete(std::move(outputs));
+    if (latency_micros_ > 0.0) {
+      // The fixed device latency, spent on the submitting thread.
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::micro>(latency_micros_));
+    }
     return event;
   }
 
@@ -59,7 +66,7 @@ NullBackend::NullBackend(const CellRegistry* registry, double latency_micros)
       assembler_(registry) {
   BM_CHECK(registry != nullptr);
   BM_CHECK_GE(latency_micros, 0.0);
-  // requires_gather stays false: staging threads skip GatherInputs, which
+  // requires_gather stays false: the Server skips the gather stage, which
   // is the point — the null device reads no input rows. The watchdog still
   // works (Submit makes heartbeat-visible progress on the exec thread).
   caps_.supports_watchdog = true;

@@ -1,9 +1,9 @@
 // NullBackend: a compute-free device for tests and scheduling studies.
 //
 // Submit skips gather and execution entirely and completes each task with
-// zero-filled output tensors of the correct batched shapes, after a
-// configurable fixed latency (DeviceConfig::null_latency_micros). That
-// isolates the engine's own machinery — scheduling, pipelining, hazard
+// zero-filled output tensors of the correct batched shapes, returning after
+// a configurable fixed latency (DeviceConfig::null_latency_micros). That
+// isolates the engine's own machinery — scheduling, pipelining, poison
 // bookkeeping, watchdog — from kernel cost, so fig05/fig09-style runs and
 // stress tests can drive the full Server control path without paying for
 // (or being perturbed by) GEMMs.

@@ -129,8 +129,7 @@ class TraceRecorder {
   // Pipelined worker streams (see DESIGN.md "Pipelined worker streams"):
   // the manager refilled a worker's stream with `num_tasks` tasks...
   void StreamRefill(int worker, int num_tasks);
-  // ...a staging thread gathered a task's inputs while the previous task
-  // executed...
+  // ...a worker's exec thread gathered a task's inputs...
   void GatherBegin(uint64_t task_id, CellTypeId type, int worker, int batch_size);
   void GatherEnd(uint64_t task_id, CellTypeId type, int worker, int batch_size);
   // ...and a worker's execution thread sat idle between tasks for the span

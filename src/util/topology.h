@@ -31,8 +31,8 @@ namespace batchmaker {
 enum class NumaPolicy {
   // No discovery, no pinning: bitwise-identical to the pre-NUMA server.
   kNone = 0,
-  // Pin each worker's stager/exec pair (and its intra-task pool) to one
-  // node and align shard boundaries with node boundaries.
+  // Pin each worker's exec thread (and its intra-task pool) to one node
+  // and align shard boundaries with node boundaries.
   kPin,
   // kPin plus node-local replicas of the pre-packed weight panels and
   // first-touch staging arenas, so steady-state GEMM B-panel and gather

@@ -238,7 +238,7 @@ TEST(TraceExportTest, PipelineEventsExport) {
 
 TEST(TraceIntegrationTest, ServerTracesPipelinedStreams) {
   // End to end on the real server: every executed task was refilled into a
-  // stream and gathered by the staging thread, so the pipeline event
+  // stream and gathered by its worker's exec thread, so the pipeline event
   // counts line up with the exec spans.
   TinyLstmFixture fix;
   ServerOptions options;

@@ -307,9 +307,10 @@ TEST(ServerTest, SubmitAndWaitEmptyOutputSetIsEngaged) {
 
 TEST(ServerTest, PipelinedStreamsMatchReferenceUnderLoad) {
   // Depth-4 streams on two workers with multi-threaded intra-task pools:
-  // the staging thread overlaps gathers with execution, so this doubles as
-  // the TSan stress for the pipeline's hazard tracking. Results must still
-  // match the sequential reference exactly per request.
+  // each worker has several tasks queued while its exec thread gathers,
+  // executes and scatters, so this doubles as the TSan stress for the
+  // stream protocol. Results must still match the sequential reference
+  // exactly per request.
   TinyLstmFixture fix;
   ServerOptions options;
   options.num_workers = 2;

@@ -292,6 +292,61 @@ TEST(WatchdogTest, DeadExecThreadRespawnedRequestsRecoverBitwise) {
   EXPECT_GE(report[0].respawns, 1);
 }
 
+// A chaos drill is keyed on (worker, stream seq), and the stream seq
+// outlives the exec thread: the replacement continues the dead thread's
+// stream, so the seq-0 exit drill kills exactly one thread per server. A
+// seq that restarted with the thread would kill every replacement at its
+// first task.
+TEST(WatchdogTest, ExitDrillFiresOncePerServerLifetime) {
+  constexpr int64_t kHidden = 4;
+  std::vector<int> lengths;
+  for (int i = 0; i < 12; ++i) {
+    lengths.push_back(1 + (i * 3) % 6);
+  }
+  TinyLstmFixture fix;
+  const auto wave1 = MakeChainRequests(lengths, kHidden, /*seed=*/98);
+  const auto wave2 = MakeChainRequests(lengths, kHidden, /*seed=*/99);
+  const auto reference1 = ReferenceOutputs(&fix.registry, fix.model, wave1, kHidden);
+  const auto reference2 = ReferenceOutputs(&fix.registry, fix.model, wave2, kHidden);
+
+  ServerOptions options;
+  options.num_workers = 2;
+  options.pipeline_depth = 2;
+  options.fault.chaos_worker = 0;
+  options.fault.chaos_task_seq = 0;
+  options.fault.chaos_exit_thread = true;
+  options.health.health_watchdog = true;
+  options.health.check_interval_micros = 500.0;
+  options.health.min_hang_micros = 2000.0;
+  options.health.probe_backoff_micros = 500.0;
+  Server server(&fix.registry, options);
+  server.Start();
+
+  const ChainRun run1 = SubmitAndAwaitAll(&server, fix.model, wave1, kHidden);
+  ExpectAllOkBitwise(run1, reference1);
+  EXPECT_GE(server.Quarantines(), 1);
+  AwaitReadmission(server, /*worker=*/0);
+  const int64_t epoch_before = server.HealthReport()[0].heartbeat_epoch;
+
+  // Wave 2 must reach the replacement thread, but which worker a burst
+  // lands on follows the scheduler's refill rotation, so the wave repeats
+  // (bounded) until worker 0 has run something.
+  int64_t epoch_after = epoch_before;
+  for (int round = 0; round < 20 && epoch_after == epoch_before; ++round) {
+    const ChainRun run2 = SubmitAndAwaitAll(&server, fix.model, wave2, kHidden);
+    ExpectAllOkBitwise(run2, reference2);
+    // A second death would block wave 2 until its task is reclaimed, and
+    // its re-admission needs the respawn first, so after this wait the
+    // respawn count is final.
+    AwaitReadmission(server, /*worker=*/0);
+    epoch_after = server.HealthReport()[0].heartbeat_epoch;
+  }
+  server.Shutdown();
+
+  EXPECT_GT(epoch_after, epoch_before) << "worker 0 ran nothing in wave 2";
+  EXPECT_EQ(server.Respawns(), 1);
+}
+
 // --- Slowdown drill (advisory only) ----------------------------------------
 
 TEST(WatchdogTest, SlowdownChaosIsAdvisoryOnly) {

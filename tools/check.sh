@@ -95,10 +95,10 @@ if [[ "$run_tsan" == 1 ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
     --target server_test obs_test thread_pool_test determinism_test \
-    robustness_test sharding_test api_conformance_test numa_placement_test \
-    watchdog_test util_test device_test
+    robustness_test cancellation_test sharding_test api_conformance_test \
+    numa_placement_test watchdog_test util_test device_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'server_test|obs_test|thread_pool_test|determinism_test|robustness_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test'
+    -R 'server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
