@@ -9,19 +9,6 @@ BatchAssembler::BatchAssembler(const CellRegistry* registry) : registry_(registr
   BM_CHECK(registry != nullptr);
 }
 
-void BatchAssembler::ExecuteTask(const BatchedTask& task, RequestProcessor* processor,
-                                 const ExecContext* ctx) const {
-  BM_CHECK(processor != nullptr);
-  std::vector<RequestState*> states;
-  states.reserve(task.entries.size());
-  for (const TaskEntry& entry : task.entries) {
-    RequestState* state = processor->FindRequest(entry.request);
-    BM_CHECK(state != nullptr) << "task entry for unknown request " << entry.request;
-    states.push_back(state);
-  }
-  ExecuteTask(task, states, ctx);
-}
-
 void BatchAssembler::ExecuteTask(const BatchedTask& task,
                                  const std::vector<RequestState*>& states,
                                  const ExecContext* ctx) const {
@@ -65,52 +52,56 @@ void BatchAssembler::GatherInputs(const BatchedTask& task,
   ArenaScope arena_scope(arena);
   out->inputs.clear();
   out->inputs.reserve(static_cast<size_t>(def.NumInputs()));
-  std::vector<const Tensor*> sources(static_cast<size_t>(batch));
-  const std::vector<int64_t> rows(static_cast<size_t>(batch), 0);  // sources are [1, ...]
+  // Each row is read in place: from the request's external tensor or from
+  // its output buffer, whose layout the plan fixed.
+  std::vector<const void*> sources(static_cast<size_t>(batch));
   for (int slot = 0; slot < def.NumInputs(); ++slot) {
     const CellInputSpec& slot_spec = def.input_spec(slot);
+    std::vector<int64_t> out_dims{batch};
+    out_dims.insert(out_dims.end(), slot_spec.row_shape.dims().begin(),
+                    slot_spec.row_shape.dims().end());
+    Tensor gathered = Tensor::Uninitialized(Shape(std::move(out_dims)), slot_spec.dtype);
     Tensor zero_row;  // lazily built substitute source for poisoned rows
     for (int i = 0; i < batch; ++i) {
       if (poisoned != nullptr && (*poisoned)[static_cast<size_t>(i)] != 0) {
-        if (zero_row.NumElements() == 0) {
-          std::vector<int64_t> row_dims{1};
-          for (int64_t d : slot_spec.row_shape.dims()) {
-            row_dims.push_back(d);
-          }
-          zero_row = Tensor::Zeros(Shape(std::move(row_dims)), slot_spec.dtype);
+        if (zero_row.shape().Rank() == 0) {
+          zero_row = Tensor::Zeros(gathered.shape().WithDim(0, 1), slot_spec.dtype);
         }
-        sources[static_cast<size_t>(i)] = &zero_row;
+        sources[static_cast<size_t>(i)] = slot_spec.dtype == DType::kF32
+                                              ? static_cast<const void*>(zero_row.f32())
+                                              : static_cast<const void*>(zero_row.i32());
         continue;
       }
       const TaskEntry& entry = task.entries[static_cast<size_t>(i)];
-      RequestState* state = states[static_cast<size_t>(i)];
-      const CellNode& node = state->graph.node(entry.node);
-      const ValueRef& ref = node.inputs[static_cast<size_t>(slot)];
+      const RequestState* state = states[static_cast<size_t>(i)];
+      const ValueRef& ref = state->graph.node(entry.node).inputs[static_cast<size_t>(slot)];
       if (ref.is_external()) {
         BM_CHECK_LT(static_cast<size_t>(ref.external), state->externals.size());
-        sources[static_cast<size_t>(i)] =
-            &state->externals[static_cast<size_t>(ref.external)];
+        const Tensor& ext = state->externals[static_cast<size_t>(ref.external)];
+        BM_CHECK(ext.dtype() == slot_spec.dtype && ext.shape().HasRowShape(slot_spec.row_shape) &&
+                 ext.shape().dims()[0] >= 1)
+            << "external input " << ref.external << " of request " << entry.request
+            << " does not fit input slot " << slot;
+        sources[static_cast<size_t>(i)] = ext.dtype() == DType::kF32
+                                              ? static_cast<const void*>(ext.f32())
+                                              : static_cast<const void*>(ext.i32());
       } else {
-        const auto& producer_outputs = state->node_outputs[static_cast<size_t>(ref.node)];
-        BM_CHECK(!producer_outputs.empty())
+        BM_CHECK(state->Produced(ref.node))
             << "node " << ref.node << " of request " << entry.request
             << " consumed before it produced output (scheduling bug)";
-        sources[static_cast<size_t>(i)] =
-            &producer_outputs[static_cast<size_t>(ref.output)];
+        const ValueType& produced = *state->plan->Output(ref.node, ref.output).type;
+        BM_CHECK(produced.shape == slot_spec.row_shape && produced.dtype == slot_spec.dtype)
+            << "row shape mismatch gathering node " << entry.node << " of request "
+            << entry.request;
+        sources[static_cast<size_t>(i)] = state->OutputRow(ref.node, ref.output);
       }
     }
-    std::vector<int64_t> out_dims{batch};
-    for (int64_t d : slot_spec.row_shape.dims()) {
-      out_dims.push_back(d);
-    }
-    Tensor gathered = Tensor::Uninitialized(Shape(std::move(out_dims)), slot_spec.dtype);
     if (pool != nullptr && pool->num_threads() > 1 && batch >= 2 * pool->num_threads()) {
       // Row copies are independent; strided row ownership keeps the
       // result identical for any thread count.
-      pool->Run(batch,
-                [&](int64_t i) { GatherRowsInto(sources, rows, &gathered, i, i + 1); });
+      pool->Run(batch, [&](int64_t i) { GatherRowPtrsInto(sources, &gathered, i, i + 1); });
     } else {
-      GatherRowsInto(sources, rows, &gathered, 0, batch);
+      GatherRowPtrsInto(sources, &gathered, 0, batch);
     }
     out->inputs.push_back(std::move(gathered));
   }
@@ -142,22 +133,29 @@ void BatchAssembler::ScatterOutputs(const BatchedTask& task,
   if (poisoned != nullptr) {
     BM_CHECK_EQ(poisoned->size(), task.entries.size());
   }
-  // Scatter each output row back to its node. Entries are distinct
-  // (request, node) pairs, so rows write disjoint node_outputs slots; the
-  // extracted tensors are owned (no ambient arena here, and pool threads
-  // never inherit one).
+  // The outputs must be the rows the plans laid out: the cell's declared
+  // output types, batched.
+  const CellDef& def = registry_->def(task.type);
+  BM_CHECK_EQ(static_cast<int>(outputs.size()), def.NumOutputs());
+  for (int o = 0; o < def.NumOutputs(); ++o) {
+    const Tensor& out = outputs[static_cast<size_t>(o)];
+    const ValueType& type = def.output_type(o);
+    BM_CHECK(out.dtype() == type.dtype && out.shape().HasRowShape(type.shape) &&
+             out.shape().Dim(0) == batch)
+        << "output " << o << " of cell '" << def.name() << "' is " << out.shape().ToString();
+  }
+  // Copy each output row into its request's output buffer. Entries are
+  // distinct (request, node) pairs, so rows write disjoint destinations.
   auto scatter_row = [&](int64_t i) {
     if (poisoned != nullptr && (*poisoned)[static_cast<size_t>(i)] != 0) {
       return;  // failed entry: its row is garbage and must not land anywhere
     }
-    const TaskEntry& entry = task.entries[static_cast<size_t>(i)];
+    const int node = task.entries[static_cast<size_t>(i)].node;
     RequestState* state = states[static_cast<size_t>(i)];
-    auto& node_out = state->node_outputs[static_cast<size_t>(entry.node)];
-    node_out.clear();
-    node_out.reserve(outputs.size());
-    for (const Tensor& out : outputs) {
-      node_out.push_back(ExtractRow(out, i));
+    for (size_t o = 0; o < outputs.size(); ++o) {
+      CopyRowTo(outputs[o], i, state->OutputRow(node, static_cast<int>(o)));
     }
+    state->MarkProduced(node);
   };
   if (pool != nullptr && pool->num_threads() > 1 && batch >= 2 * pool->num_threads()) {
     pool->Run(batch, scatter_row);

@@ -4,8 +4,8 @@
 // out in contiguous memory before execution): for each cell input slot, one
 // row per task entry is gathered from the producing node's output (or from
 // the request's external inputs) into a contiguous [batch, ...] tensor. The
-// cell executor runs once on the whole batch, and the outputs are scattered
-// back into per-node output tensors.
+// cell executor runs once on the whole batch, and each output row is copied
+// back into its request's output buffer (RequestState::OutputRow).
 //
 // The three stages are exposed separately so a device backend can put each
 // behind its own DeviceBackend / DeviceQueue entry point (gather into a
@@ -18,7 +18,7 @@
 
 #include <vector>
 
-#include "src/core/request_processor.h"
+#include "src/core/request.h"
 #include "src/device/device_backend.h"  // GatheredBatch
 #include "src/graph/cell_registry.h"
 #include "src/runtime/task.h"
@@ -29,31 +29,26 @@ class BatchAssembler {
  public:
   explicit BatchAssembler(const CellRegistry* registry);
 
-  // Gathers, executes, and scatters one task. Every entry's request must
-  // still be active in `processor` and carry external tensors (real-compute
+  // Gathers, executes, and scatters one task; states[i] owns
+  // task.entries[i], and every state carries external tensors (real-compute
   // mode). Thread-safe with respect to other tasks whose entries do not
   // overlap, which the scheduler's pinning discipline guarantees.
   //
   // `ctx` (optional) supplies the calling worker's intra-task ThreadPool —
   // used to fan gather/scatter over batch rows and GEMM over output blocks
   // — and its TensorArena, which holds the gather buffers and all cell
-  // intermediates and is Reset() before returning (outputs scattered into
-  // request states always own their storage). Results are bitwise
+  // intermediates and is Reset() before returning. Results are bitwise
   // identical with or without a context.
-  void ExecuteTask(const BatchedTask& task, RequestProcessor* processor,
-                   const ExecContext* ctx = nullptr) const;
-
-  // Same, with request states pre-resolved (states[i] owns task.entries[i]).
-  // Used by the threaded server so workers never read the request map.
   void ExecuteTask(const BatchedTask& task, const std::vector<RequestState*>& states,
                    const ExecContext* ctx = nullptr) const;
 
   // ---- Staged API (the composed ExecuteTask is Gather + Execute + Scatter) ----
   //
-  // Ordering: GatherInputs reads node_outputs of the entries' producers,
-  // so the caller must guarantee every producer has already been
+  // Ordering: GatherInputs reads the output rows of the entries'
+  // producers, so the caller must guarantee every producer has already been
   // *scattered* — the server's exec thread scatters each task of its FIFO
-  // stream before it gathers the next.
+  // stream before it gathers the next. A row whose producer never scattered
+  // aborts the gather ("consumed before it produced output").
 
   // Stage 1: gathers one contiguous [batch, ...] tensor per cell input
   // slot into `out`. Uses ctx->arena for the gather buffers and ctx->pool
@@ -77,9 +72,9 @@ class BatchAssembler {
                                       const GatheredBatch& gathered,
                                       const ExecContext* ctx = nullptr) const;
 
-  // Stage 3: scatters each output row back to its entry's node_outputs
-  // slot. Entries are distinct (request, node) pairs, so rows write
-  // disjoint slots; scattered tensors always own their storage. Rows marked
+  // Stage 3: copies each output row into its entry's rows of the request's
+  // output buffer and marks the node produced. Entries are distinct
+  // (request, node) pairs, so rows write disjoint destinations. Rows marked
   // in `poisoned` (optional, size == batch) are skipped: their garbage
   // outputs must never land in request state, since the failed entries will
   // re-execute (or be cancelled) through the failure path.

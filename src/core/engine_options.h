@@ -174,12 +174,6 @@ struct Response {
   bool ok() const { return status == RequestStatus::kOk; }
 };
 
-// Called exactly once per submission with the request's terminal status.
-// Receives the tensors requested at submission (in `outputs_wanted`
-// order) when status is kOk; outputs whose producing node was cancelled
-// by early termination are skipped. Non-kOk responses carry no outputs.
-using ResponseFn = std::function<void(RequestId, RequestStatus, std::vector<Tensor>)>;
-
 }  // namespace batchmaker
 
 #endif  // SRC_CORE_ENGINE_OPTIONS_H_

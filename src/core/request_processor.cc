@@ -1,7 +1,9 @@
 #include "src/core/request_processor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -40,27 +42,43 @@ class UnionFind {
   std::vector<int> parent_;
 };
 
-// Distinct predecessor node ids of `id` in `graph`.
-std::set<int> DistinctPreds(const CellGraph& graph, int id) {
-  std::set<int> preds;
-  for (const ValueRef& ref : graph.node(id).inputs) {
-    if (!ref.is_external()) {
-      preds.insert(ref.node);
+// Distinct predecessor node ids of every node, in CSR form: node `id`'s are
+// preds[begin[id]..begin[id + 1]), in first-reference order.
+struct PredLists {
+  std::vector<int> begin;
+  std::vector<int> preds;
+
+  explicit PredLists(const CellGraph& graph) : begin(static_cast<size_t>(graph.NumNodes()) + 1, 0) {
+    const int n = graph.NumNodes();
+    std::vector<int> seen_by(static_cast<size_t>(n), -1);
+    for (int id = 0; id < n; ++id) {
+      begin[static_cast<size_t>(id)] = static_cast<int>(preds.size());
+      for (const ValueRef& ref : graph.node(id).inputs) {
+        if (!ref.is_external() && seen_by[static_cast<size_t>(ref.node)] != id) {
+          seen_by[static_cast<size_t>(ref.node)] = id;
+          preds.push_back(ref.node);
+        }
+      }
     }
+    begin[static_cast<size_t>(n)] = static_cast<int>(preds.size());
   }
-  return preds;
-}
+
+  std::span<const int> of(int id) const {
+    return {preds.data() + begin[static_cast<size_t>(id)],
+            preds.data() + begin[static_cast<size_t>(id) + 1]};
+  }
+};
 
 // Returns, per tentative component, whether it belongs to a strongly
 // connected component of size > 1 in the condensed component graph.
 // Iterative Tarjan (requests can have thousands of nodes; no recursion).
-std::vector<bool> ComponentsInCycles(const CellGraph& graph, const std::vector<int>& comp_of,
+std::vector<bool> ComponentsInCycles(const PredLists& pred_lists, const std::vector<int>& comp_of,
                                      int num_comps) {
   // Condensed distinct edges pred_comp -> comp.
   std::vector<std::set<int>> edges(static_cast<size_t>(num_comps));
-  for (int id = 0; id < graph.NumNodes(); ++id) {
+  for (int id = 0; id < static_cast<int>(comp_of.size()); ++id) {
     const int comp = comp_of[static_cast<size_t>(id)];
-    for (int pred : DistinctPreds(graph, id)) {
+    for (int pred : pred_lists.of(id)) {
       const int pred_comp = comp_of[static_cast<size_t>(pred)];
       if (pred_comp != comp) {
         edges[static_cast<size_t>(pred_comp)].insert(comp);
@@ -132,6 +150,28 @@ std::vector<bool> ComponentsInCycles(const CellGraph& graph, const std::vector<i
   return in_cycle;
 }
 
+// The structure a plan is keyed by: per node its type, input count, then
+// (node, output, external) per input.
+void StructureKey(const CellGraph& graph, std::vector<int>* key) {
+  key->clear();
+  for (int id = 0; id < graph.NumNodes(); ++id) {
+    const CellNode& node = graph.node(id);
+    key->push_back(node.type);
+    key->push_back(static_cast<int>(node.inputs.size()));
+    for (const ValueRef& ref : node.inputs) {
+      key->insert(key->end(), {ref.node, ref.output, ref.external});
+    }
+  }
+}
+
+uint64_t HashKey(const std::vector<int>& key) {
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a over the key's words
+  for (int value : key) {
+    hash = (hash ^ static_cast<uint32_t>(value)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
 }  // namespace
 
 RequestProcessor::RequestProcessor(const CellRegistry* registry,
@@ -149,25 +189,34 @@ RequestState* RequestProcessor::AddRequest(RequestId id, CellGraph graph,
                                            double arrival_micros,
                                            std::vector<Tensor> externals) {
   BM_CHECK_GT(graph.NumNodes(), 0) << "empty cell graph";
-  BM_CHECK_EQ(requests_.count(id), 0u) << "duplicate request id " << id;
-  if (!externals.empty()) {
-    graph.Validate(*registry_, static_cast<int>(externals.size()));
-  }
-
-  auto state = std::make_unique<RequestState>();
-  RequestState* s = state.get();
+  auto [it, inserted] = requests_.try_emplace(id);
+  BM_CHECK(inserted) << "duplicate request id " << id;
+  it->second = std::make_unique<RequestState>();
+  RequestState* s = it->second.get();
+  s->plan = PlanFor(graph);
+  const RequestPlan& plan = *s->plan;
   s->id = id;
   s->graph = std::move(graph);
   s->arrival_micros = arrival_micros;
   s->externals = std::move(externals);
-  s->remaining_nodes = s->graph.NumNodes();
-  s->nodes.resize(static_cast<size_t>(s->graph.NumNodes()));
-  if (!s->externals.empty()) {
-    s->node_outputs.resize(static_cast<size_t>(s->graph.NumNodes()));
+  s->remaining_nodes = plan.NumNodes();
+  s->nodes = plan.initial_nodes;
+  s->ready_slots.resize(static_cast<size_t>(plan.NumNodes()));
+  s->subgraphs.reserve(plan.subgraphs.size());
+  for (size_t i = 0; i < plan.subgraphs.size(); ++i) {
+    const RequestPlan::SubgraphPlan& sp = plan.subgraphs[i];
+    const int size = sp.node_end - sp.node_begin;
+    auto sg = std::make_unique<Subgraph>();
+    sg->owner = s;
+    sg->id = static_cast<int>(i);
+    sg->type = sp.type;
+    sg->nodes = std::span<const int>(plan.subgraph_nodes.data() + sp.node_begin,
+                                     static_cast<size_t>(size));
+    sg->ready = ReadyList(s->ready_slots.data() + sp.node_begin, size);
+    sg->unscheduled = size;
+    sg->unmet_external = sp.unmet_external;
+    s->subgraphs.push_back(std::move(sg));
   }
-  requests_.emplace(id, std::move(state));
-
-  Partition(s);
 
   // Release subgraphs whose external dependencies are already satisfied.
   for (const auto& sg : s->subgraphs) {
@@ -178,31 +227,57 @@ RequestState* RequestProcessor::AddRequest(RequestId id, CellGraph graph,
   return s;
 }
 
-void RequestProcessor::Partition(RequestState* state) {
-  const CellGraph& graph = state->graph;
-  const int n = graph.NumNodes();
+std::shared_ptr<const RequestPlan> RequestProcessor::PlanFor(const CellGraph& graph) {
+  StructureKey(graph, &key_);
+  const uint64_t hash = HashKey(key_);
+  for (CachedPlan& cached : plan_cache_) {
+    if (cached.plan->hash == hash && cached.plan->key == key_) {
+      cached.last_use = ++plan_clock_;
+      ++plan_hits_;
+      return cached.plan;
+    }
+  }
+  ++plan_misses_;
+  std::shared_ptr<RequestPlan> built = BuildPlan(graph);
+  built->hash = hash;
+  built->key = key_;
+  std::shared_ptr<const RequestPlan> plan = std::move(built);
+  if (plan_cache_.size() < kPlanCacheCapacity) {
+    plan_cache_.push_back(CachedPlan{plan, ++plan_clock_});
+  } else {
+    const auto lru = std::min_element(
+        plan_cache_.begin(), plan_cache_.end(),
+        [](const CachedPlan& a, const CachedPlan& b) { return a.last_use < b.last_use; });
+    *lru = CachedPlan{plan, ++plan_clock_};
+  }
+  return plan;
+}
 
-  // Connected components over same-type edges.
+std::shared_ptr<RequestPlan> RequestProcessor::BuildPlan(const CellGraph& graph) const {
+  const int n = graph.NumNodes();
+  auto plan = std::make_shared<RequestPlan>();
+  const PredLists pred_lists(graph);
+  const auto type_of = [&graph](int id) { return graph.node(id).type; };
+
+  // Connected components over same-type edges, numbered in order of their
+  // lowest node id.
   UnionFind uf(n);
   for (int id = 0; id < n; ++id) {
-    for (int pred : DistinctPreds(graph, id)) {
-      if (graph.node(pred).type == graph.node(id).type) {
+    for (int pred : pred_lists.of(id)) {
+      if (type_of(pred) == type_of(id)) {
         uf.Union(pred, id);
       }
     }
   }
-
-  // Tentative component index per node.
-  std::unordered_map<int, int> root_to_comp;
   std::vector<int> comp_of(static_cast<size_t>(n));
+  std::vector<int> comp_of_root(static_cast<size_t>(n), -1);
   int num_comps = 0;
   for (int id = 0; id < n; ++id) {
-    const int root = uf.Find(id);
-    auto [it, inserted] = root_to_comp.emplace(root, num_comps);
-    if (inserted) {
-      ++num_comps;
+    int& comp = comp_of_root[static_cast<size_t>(uf.Find(id))];
+    if (comp < 0) {
+      comp = num_comps++;
     }
-    comp_of[static_cast<size_t>(id)] = it->second;
+    comp_of[static_cast<size_t>(id)] = comp;
   }
 
   // A subgraph only releases once ALL its external dependencies complete
@@ -212,41 +287,84 @@ void RequestProcessor::Partition(RequestState* state) {
   // connected components there; splitting every member of such an SCC
   // into singleton subgraphs restores acyclicity (singletons mirror the
   // node DAG) at the cost of coarse-grained pinning for those nodes. The
-  // paper's models never hit this path.
-  const std::vector<bool> in_cycle = ComponentsInCycles(graph, comp_of, num_comps);
-  std::unordered_map<int, int> key_to_sg;  // component (or ~node) -> subgraph id
+  // paper's models never hit this path. Subgraph ids follow the lowest
+  // node id of each subgraph.
+  const std::vector<bool> in_cycle = ComponentsInCycles(pred_lists, comp_of, num_comps);
+  std::vector<NodeState>& init = plan->initial_nodes;
+  init.resize(static_cast<size_t>(n));
+  std::vector<int> sg_of_comp(static_cast<size_t>(num_comps), -1);
+  std::vector<int> sg_size;
   for (int id = 0; id < n; ++id) {
-    const int comp = comp_of[static_cast<size_t>(id)];
-    // Singleton-split nodes key by their own id (bit-flipped to avoid
-    // clashing with component indices).
-    const int key = in_cycle[static_cast<size_t>(comp)] ? ~id : comp;
-    auto [it, inserted] = key_to_sg.emplace(key, static_cast<int>(state->subgraphs.size()));
-    if (inserted) {
-      auto sg = std::make_unique<Subgraph>();
-      sg->owner = state;
-      sg->id = it->second;
-      sg->type = graph.node(id).type;
-      state->subgraphs.push_back(std::move(sg));
+    const size_t comp = static_cast<size_t>(comp_of[static_cast<size_t>(id)]);
+    int sg = in_cycle[comp] ? -1 : sg_of_comp[comp];
+    if (sg < 0) {
+      sg = static_cast<int>(plan->subgraphs.size());
+      if (!in_cycle[comp]) {
+        sg_of_comp[comp] = sg;
+      }
+      RequestPlan::SubgraphPlan sp;
+      sp.type = type_of(id);
+      plan->subgraphs.push_back(sp);
+      sg_size.push_back(0);
     }
-    Subgraph* sg = state->subgraphs[static_cast<size_t>(it->second)].get();
-    sg->nodes.push_back(id);
-    sg->unscheduled++;
-    state->nodes[static_cast<size_t>(id)].subgraph = it->second;
+    ++sg_size[static_cast<size_t>(sg)];
+    init[static_cast<size_t>(id)].subgraph = sg;
+  }
+  int offset = 0;
+  for (size_t sg = 0; sg < plan->subgraphs.size(); ++sg) {
+    plan->subgraphs[sg].node_begin = plan->subgraphs[sg].node_end = offset;
+    offset += sg_size[sg];
+  }
+  plan->subgraph_nodes.resize(static_cast<size_t>(n));
+  for (int id = 0; id < n; ++id) {
+    RequestPlan::SubgraphPlan& sp =
+        plan->subgraphs[static_cast<size_t>(init[static_cast<size_t>(id)].subgraph)];
+    plan->subgraph_nodes[static_cast<size_t>(sp.node_end++)] = id;
   }
 
   // Dependency counters.
   for (int id = 0; id < n; ++id) {
-    NodeState& node = state->nodes[static_cast<size_t>(id)];
-    Subgraph* sg = state->subgraphs[static_cast<size_t>(node.subgraph)].get();
-    for (int pred : DistinctPreds(graph, id)) {
-      if (state->nodes[static_cast<size_t>(pred)].subgraph == node.subgraph) {
+    NodeState& node = init[static_cast<size_t>(id)];
+    for (int pred : pred_lists.of(id)) {
+      if (init[static_cast<size_t>(pred)].subgraph == node.subgraph) {
         node.unmet_internal++;
       } else {
         node.unmet_external++;
-        sg->unmet_external++;
+        plan->subgraphs[static_cast<size_t>(node.subgraph)].unmet_external++;
       }
     }
   }
+
+  // Successors split by kind, each in the graph's (ascending) order, and the
+  // output buffer layout: every row of every node, back to back.
+  plan->nodes.resize(static_cast<size_t>(n));
+  for (int id = 0; id < n; ++id) {
+    RequestPlan::NodePlan& np = plan->nodes[static_cast<size_t>(id)];
+    const auto same_subgraph = [&init, id](int succ) {
+      return init[static_cast<size_t>(succ)].subgraph == init[static_cast<size_t>(id)].subgraph;
+    };
+    std::vector<int>& succs = plan->successors;
+    np.succ_begin = static_cast<int>(succs.size());
+    std::copy_if(graph.Successors(id).begin(), graph.Successors(id).end(),
+                 std::back_inserter(succs), same_subgraph);
+    np.succ_split = static_cast<int>(succs.size());
+    std::copy_if(graph.Successors(id).begin(), graph.Successors(id).end(),
+                 std::back_inserter(succs), [&](int succ) { return !same_subgraph(succ); });
+    np.succ_end = static_cast<int>(succs.size());
+
+    np.output_begin = static_cast<int>(plan->outputs.size());
+    const CellDef& def = registry_->def(type_of(id));
+    for (int o = 0; o < def.NumOutputs(); ++o) {
+      const ValueType& type = def.output_type(o);
+      RequestPlan::OutputRow row;
+      row.offset = plan->output_bytes;
+      row.bytes = static_cast<size_t>(type.shape.NumElements()) * DTypeSize(type.dtype);
+      row.type = &type;
+      plan->outputs.push_back(row);
+      plan->output_bytes += row.bytes;
+    }
+  }
+  return plan;
 }
 
 void RequestProcessor::ReleaseSubgraph(Subgraph* sg) {
@@ -265,39 +383,38 @@ void RequestProcessor::ReleaseSubgraph(Subgraph* sg) {
   on_subgraph_ready_(sg);
 }
 
-int RequestProcessor::MarkScheduled(Subgraph* sg, const std::vector<int>& nodes) {
+int RequestProcessor::MarkScheduled(Subgraph* sg, int count) {
   BM_CHECK(sg != nullptr);
   RequestState* state = sg->owner;
-  // The request now has (or is about to have) in-flight work pinned to a
-  // worker; it is no longer eligible for cross-shard stealing.
-  state->ever_scheduled = true;
-  int newly_ready = 0;
-
-  for (int id : nodes) {
+  if (!state->ever_scheduled) {
+    // The request now has (or is about to have) in-flight work pinned to a
+    // worker; it is no longer eligible for cross-shard stealing, and its
+    // outputs need somewhere to land.
+    state->ever_scheduled = true;
+    if (!state->externals.empty()) {
+      state->AllocateOutputBuffer();
+    }
+  }
+  BM_CHECK_GE(count, 0);
+  BM_CHECK_LE(static_cast<size_t>(count), sg->ready.size());
+  taken_.assign(sg->ready.begin(), sg->ready.begin() + count);
+  for (int id : taken_) {
     NodeState& node = state->nodes[static_cast<size_t>(id)];
     BM_CHECK_EQ(node.subgraph, sg->id) << "task entry from a foreign subgraph";
     BM_CHECK(node.stage == NodeStage::kReady);
     node.stage = NodeStage::kScheduled;
-    sg->unscheduled--;
-    // Remove from the ready list.
-    for (size_t i = 0; i < sg->ready.size(); ++i) {
-      if (sg->ready[i] == id) {
-        sg->ready[i] = sg->ready.back();
-        sg->ready.pop_back();
-        break;
-      }
-    }
   }
+  sg->unscheduled -= count;
   BM_CHECK_GE(sg->unscheduled, 0);
+  sg->ready.DropPrefix(count);
 
   // Unlock same-subgraph successors: their data will be produced earlier in
   // the same worker stream (pinning guarantees ordering).
-  for (int id : nodes) {
-    for (int succ : state->graph.Successors(id)) {
+  int newly_ready = 0;
+  const RequestPlan& plan = *state->plan;
+  for (int id : taken_) {
+    for (int succ : plan.InternalSuccessors(id)) {
       NodeState& succ_node = state->nodes[static_cast<size_t>(succ)];
-      if (succ_node.subgraph != sg->id) {
-        continue;  // cross-subgraph edges are satisfied by completion
-      }
       BM_CHECK_GT(succ_node.unmet_internal, 0);
       if (--succ_node.unmet_internal == 0 && succ_node.unmet_external == 0) {
         BM_CHECK(succ_node.stage == NodeStage::kPending);
@@ -310,9 +427,19 @@ int RequestProcessor::MarkScheduled(Subgraph* sg, const std::vector<int>& nodes)
   return newly_ready;
 }
 
+int RequestProcessor::MarkScheduled(Subgraph* sg, const std::vector<int>& nodes) {
+  BM_CHECK(sg != nullptr);
+  BM_CHECK_LE(nodes.size(), sg->ready.size());
+  BM_CHECK(std::equal(nodes.begin(), nodes.end(), sg->ready.begin()))
+      << "scheduled nodes must be the front of the subgraph's ready list";
+  return MarkScheduled(sg, static_cast<int>(nodes.size()));
+}
+
 void RequestProcessor::CompleteEntry(const TaskEntry& entry,
                                      std::vector<RequestState*>* to_finalize) {
-  RequestState* state = FindRequest(entry.request);
+  // Tasks the scheduler formed carry their states; hand-built ones
+  // resolve by id.
+  RequestState* state = entry.state != nullptr ? entry.state : FindRequest(entry.request);
   BM_CHECK(state != nullptr) << "completion for unknown request " << entry.request;
   NodeState& node = state->nodes[static_cast<size_t>(entry.node)];
   BM_CHECK(node.stage == NodeStage::kScheduled);
@@ -322,9 +449,9 @@ void RequestProcessor::CompleteEntry(const TaskEntry& entry,
 
   // Propagate cross-subgraph dependencies. Cancelled consumers no longer
   // care about their inputs.
-  for (int succ : state->graph.Successors(entry.node)) {
+  for (int succ : state->plan->ExternalSuccessors(entry.node)) {
     NodeState& succ_node = state->nodes[static_cast<size_t>(succ)];
-    if (succ_node.subgraph == node.subgraph || succ_node.stage == NodeStage::kCancelled) {
+    if (succ_node.stage == NodeStage::kCancelled) {
       continue;
     }
     Subgraph* succ_sg = state->subgraphs[static_cast<size_t>(succ_node.subgraph)].get();
@@ -391,20 +518,12 @@ void RequestProcessor::RevertScheduledNode(Subgraph* sg, int node_id, bool charg
   // never-produced output) and is reverted or cancelled when that task's
   // poisoned execution fails. kCancelled successors (early termination)
   // never read the counter again.
-  for (int succ : state->graph.Successors(node_id)) {
+  // External consumers wait on completion, which never happened.
+  for (int succ : state->plan->InternalSuccessors(node_id)) {
     NodeState& succ_node = state->nodes[static_cast<size_t>(succ)];
-    if (succ_node.subgraph != sg->id) {
-      continue;  // external consumers wait on completion, which never happened
-    }
     if (succ_node.stage == NodeStage::kReady) {
       succ_node.stage = NodeStage::kPending;
-      for (size_t i = 0; i < sg->ready.size(); ++i) {
-        if (sg->ready[i] == succ) {
-          sg->ready[i] = sg->ready.back();
-          sg->ready.pop_back();
-          break;
-        }
-      }
+      sg->ready.Remove(succ);
     }
     succ_node.unmet_internal++;
   }

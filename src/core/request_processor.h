@@ -2,11 +2,17 @@
 // "The request processor tracks the progress of execution for each request"
 // and §4.3: analyzes the cell graph of a request to find subgraphs to pass
 // to the scheduler).
+//
+// The analysis runs once per distinct graph structure, not once per
+// request: the processor caches up to kPlanCacheCapacity RequestPlans,
+// keyed by node types plus input refs, and every request with a cached
+// structure starts from the shared plan.
 
 #ifndef SRC_CORE_REQUEST_PROCESSOR_H_
 #define SRC_CORE_REQUEST_PROCESSOR_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -27,19 +33,30 @@ class RequestProcessor {
   using SubgraphReadyFn = std::function<void(Subgraph*)>;
   using RequestCompleteFn = std::function<void(RequestState*)>;
 
+  // Distinct graph structures whose plans stay cached. Beyond it the least
+  // recently used plan is dropped (requests holding it keep it alive).
+  static constexpr size_t kPlanCacheCapacity = 64;
+
   RequestProcessor(const CellRegistry* registry, SubgraphReadyFn on_subgraph_ready,
                    RequestCompleteFn on_request_complete);
 
-  // Admits a request: validates and partitions its cell graph, then
-  // releases dependency-free subgraphs via on_subgraph_ready. `externals`
-  // may be empty in simulation mode. Returns the request state.
+  // Admits a request: looks up (or builds and caches) the plan for its
+  // graph's structure, then releases dependency-free subgraphs via
+  // on_subgraph_ready. The graph must already be valid against the
+  // registry and `externals`: the engines validate each submission once,
+  // before admission. `externals` is empty in simulation mode. Returns the
+  // request state.
   RequestState* AddRequest(RequestId id, CellGraph graph, double arrival_micros,
                            std::vector<Tensor> externals = {});
 
-  // Marks the nodes of a just-submitted task as scheduled and unlocks their
-  // same-subgraph successors (Algorithm 1, UpdateNodesDependency). All
-  // entries must belong to `sg`. Returns the number of nodes that became
-  // ready (they are appended to sg->ready).
+  // Marks the first `count` nodes of sg->ready as scheduled (a task just
+  // took them) and unlocks their same-subgraph successors (Algorithm 1,
+  // UpdateNodesDependency). A real-compute request's output buffer is
+  // allocated here, the first time any of its nodes is scheduled. Returns
+  // the number of nodes that became ready (they are appended to sg->ready).
+  int MarkScheduled(Subgraph* sg, int count);
+  // Same, naming the taken nodes, which must be exactly the front of
+  // sg->ready in order.
   int MarkScheduled(Subgraph* sg, const std::vector<int>& nodes);
 
   // Marks the nodes of a completed task as completed, propagates external
@@ -118,8 +135,21 @@ class RequestProcessor {
   }
   const CellRegistry& registry() const { return *registry_; }
 
+  // Plan-cache introspection (tests, diagnostics).
+  size_t PlanCacheSize() const { return plan_cache_.size(); }
+  int64_t PlanCacheHits() const { return plan_hits_; }
+  int64_t PlanCacheMisses() const { return plan_misses_; }
+
  private:
-  void Partition(RequestState* state);
+  struct CachedPlan {
+    std::shared_ptr<const RequestPlan> plan;
+    uint64_t last_use = 0;
+  };
+
+  // The cached plan for `graph`'s structure, built on a miss.
+  std::shared_ptr<const RequestPlan> PlanFor(const CellGraph& graph);
+  // The partition, counters, successor lists and output layout of `graph`.
+  std::shared_ptr<RequestPlan> BuildPlan(const CellGraph& graph) const;
   void ReleaseSubgraph(Subgraph* sg);
   void CompleteEntry(const TaskEntry& entry, std::vector<RequestState*>* to_finalize);
 
@@ -127,6 +157,14 @@ class RequestProcessor {
   SubgraphReadyFn on_subgraph_ready_;
   RequestCompleteFn on_request_complete_;
   std::unordered_map<RequestId, std::unique_ptr<RequestState>> requests_;
+  std::vector<CachedPlan> plan_cache_;
+  uint64_t plan_clock_ = 0;
+  int64_t plan_hits_ = 0;
+  int64_t plan_misses_ = 0;
+  // Scratch reused across calls: the structure key of the graph being
+  // admitted, and the nodes MarkScheduled takes.
+  std::vector<int> key_;
+  std::vector<int> taken_;
 };
 
 }  // namespace batchmaker

@@ -42,13 +42,15 @@ std::vector<BatchedTask> Scheduler::Schedule(int worker, double now_micros) {
   // yield no task for this one. Falling through to the next candidate keeps
   // the worker busy whenever any compatible ready work exists, instead of
   // idling it until the next completion.
-  std::vector<std::pair<CellTypeId, SchedCriterion>> candidates;
-  std::vector<bool> seen(types_.size(), false);
+  std::vector<std::pair<CellTypeId, SchedCriterion>>& candidates = candidates_;
+  std::vector<uint8_t>& seen = seen_;
+  candidates.clear();
+  seen.assign(types_.size(), 0);
   const auto add_group = [&](SchedCriterion criterion, auto&& qualifies) {
     const size_t group_start = candidates.size();
     for (CellTypeId ct = 0; ct < static_cast<CellTypeId>(types_.size()); ++ct) {
-      if (!seen[static_cast<size_t>(ct)] && qualifies(types_[static_cast<size_t>(ct)], ct)) {
-        seen[static_cast<size_t>(ct)] = true;
+      if (seen[static_cast<size_t>(ct)] == 0 && qualifies(types_[static_cast<size_t>(ct)], ct)) {
+        seen[static_cast<size_t>(ct)] = 1;
         candidates.emplace_back(ct, criterion);
       }
     }
@@ -228,7 +230,7 @@ void Scheduler::Batch(CellTypeId type, int worker, SchedCriterion criterion,
   const CellTypeInfo& info = registry_->info(type);
   int num_tasks = 0;
   while (num_tasks < options_.max_tasks_to_submit) {
-    std::vector<std::pair<Subgraph*, std::vector<int>>> by_subgraph;
+    std::vector<std::pair<Subgraph*, int>>& by_subgraph = by_subgraph_;
     BatchedTask task = FormBatchedTask(type, worker, &by_subgraph);
     if (task.entries.empty()) {
       break;
@@ -260,9 +262,9 @@ void Scheduler::Batch(CellTypeId type, int worker, SchedCriterion criterion,
     // UpdateNodesDependency + pinning (Algorithm 1 lines 18-21).
     std::vector<Subgraph*> touched;
     touched.reserve(by_subgraph.size());
-    for (auto& [sg, nodes] : by_subgraph) {
-      const int newly_ready = processor_->MarkScheduled(sg, nodes);
-      ts.ready_nodes += newly_ready - static_cast<int>(nodes.size());
+    for (const auto& [sg, taken] : by_subgraph) {
+      const int newly_ready = processor_->MarkScheduled(sg, taken);
+      ts.ready_nodes += newly_ready - taken;
       BM_CHECK(sg->pinned_worker == -1 || sg->pinned_worker == worker);
       sg->pinned_worker = worker;
       if (sg->last_worker != -1 && sg->last_worker != worker) {
@@ -288,12 +290,13 @@ void Scheduler::Batch(CellTypeId type, int worker, SchedCriterion criterion,
   }
 }
 
-BatchedTask Scheduler::FormBatchedTask(
-    CellTypeId type, int worker,
-    std::vector<std::pair<Subgraph*, std::vector<int>>>* by_subgraph) {
+BatchedTask Scheduler::FormBatchedTask(CellTypeId type, int worker,
+                                       std::vector<std::pair<Subgraph*, int>>* by_subgraph) {
   TypeState& ts = types_[static_cast<size_t>(type)];
   const int max_batch = registry_->info(type).max_batch;
+  by_subgraph->clear();
   BatchedTask task;
+  task.entries.reserve(static_cast<size_t>(std::min(max_batch, ts.ready_nodes)));
   for (Subgraph* sg : ts.queue) {
     if (sg->pinned_worker != -1 && sg->pinned_worker != worker) {
       continue;  // pinned to another worker
@@ -301,15 +304,12 @@ BatchedTask Scheduler::FormBatchedTask(
     if (sg->ready.empty()) {
       continue;
     }
-    std::vector<int> picked;
-    for (int node : sg->ready) {
-      task.entries.push_back(TaskEntry{sg->owner->id, node});
-      picked.push_back(node);
-      if (task.BatchSize() == max_batch) {
-        break;
-      }
+    // A prefix of the subgraph's ready list, in order.
+    const int taken = std::min(static_cast<int>(sg->ready.size()), max_batch - task.BatchSize());
+    for (int i = 0; i < taken; ++i) {
+      task.entries.push_back(TaskEntry{sg->owner->id, sg->ready[static_cast<size_t>(i)], sg->owner});
     }
-    by_subgraph->emplace_back(sg, std::move(picked));
+    by_subgraph->emplace_back(sg, taken);
     if (task.BatchSize() == max_batch) {
       break;
     }

@@ -227,10 +227,11 @@ class Scheduler {
   void MaybeClearDeferral(TypeState& ts);
 
   // Algorithm 1, FormBatchedTask(ct, worker): gathers ready nodes from
-  // subgraphs pinned to {None, worker}, up to the type's max batch.
-  // The per-subgraph breakdown is returned through `by_subgraph`.
+  // subgraphs pinned to {None, worker}, up to the type's max batch. Each
+  // subgraph contributes a prefix of its ready list; `by_subgraph` is
+  // refilled with (subgraph, prefix length) in task order.
   BatchedTask FormBatchedTask(CellTypeId type, int worker,
-                              std::vector<std::pair<Subgraph*, std::vector<int>>>* by_subgraph);
+                              std::vector<std::pair<Subgraph*, int>>* by_subgraph);
 
   void RemoveFromQueueIfDone(TypeState* ts, Subgraph* sg);
 
@@ -256,6 +257,10 @@ class Scheduler {
   double total_delay_micros_ = 0.0;
   // Subgraphs touched by each in-flight task, for unpinning on completion.
   std::unordered_map<uint64_t, std::vector<Subgraph*>> inflight_subgraphs_;
+  // Schedule / Batch scratch, reused across calls.
+  std::vector<std::pair<CellTypeId, SchedCriterion>> candidates_;
+  std::vector<uint8_t> seen_;
+  std::vector<std::pair<Subgraph*, int>> by_subgraph_;
 };
 
 }  // namespace batchmaker

@@ -130,19 +130,19 @@ struct Server::WorkerPipeline {
   // moves the entries' own keys into or out of failed_produced, and, with
   // the watchdog on, records the in-flight copy. Returns -1, committing
   // nothing, when the worker is quarantined.
-  int64_t Commit(const WorkerTask& wt, bool injected, bool health_on,
+  int64_t Commit(const BatchedTask& task, bool injected, bool health_on,
                  std::vector<uint8_t>* poisoned) {
     std::lock_guard<std::mutex> lock(mu);
     if (health_on && quarantined) {
       return -1;
     }
-    const std::vector<TaskEntry>& entries = wt.task.entries;
+    const std::vector<TaskEntry>& entries = task.entries;
     if (injected) {
       poisoned->assign(entries.size(), 1);
     } else if (!failed_produced.empty()) {
       poisoned->assign(entries.size(), 0);
       for (size_t i = 0; i < entries.size(); ++i) {
-        for (const ValueRef& ref : wt.states[i]->graph.node(entries[i].node).inputs) {
+        for (const ValueRef& ref : entries[i].state->graph.node(entries[i].node).inputs) {
           if (!ref.is_external() &&
               failed_produced.count(HazardKey(entries[i].request, ref.node)) != 0) {
             (*poisoned)[i] = 1;
@@ -163,7 +163,7 @@ struct Server::WorkerPipeline {
       }
     }
     if (health_on) {
-      inflight_task = wt.task;
+      inflight_task = task;
       inflight_valid = true;
     }
     return next_seq++;
@@ -254,7 +254,7 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   const int num_workers = options_.num_workers;
   shard_of_worker_.assign(static_cast<size_t>(num_workers), 0);
   for (int i = 0; i < num_workers; ++i) {
-    task_queues_.push_back(std::make_unique<BlockingQueue<WorkerTask>>());
+    task_queues_.push_back(std::make_unique<BlockingQueue<BatchedTask>>());
     auto pipe = std::make_unique<WorkerPipeline>();
     pipe->staging = backend_->CreateArena();
     pipelines_.push_back(std::move(pipe));
@@ -472,7 +472,7 @@ std::string Server::ValidateSubmission(const CellGraph& graph,
   if (externals.empty()) {
     return "real-compute submissions require external input tensors";
   }
-  std::string err = graph.ValidateOrError(*registry_, static_cast<int>(externals.size()));
+  std::string err = graph.ValidateOrError(*registry_, externals);
   if (!err.empty()) {
     return err;
   }
@@ -776,16 +776,8 @@ void Server::HandleMsg(Shard& shard, ManagerMsg msg) {
 void Server::Dispatch(ShardCore& core) {
   std::vector<BatchedTask>& formed = core.formed();
   for (BatchedTask& task : formed) {
-    WorkerTask wt;
-    wt.states.reserve(task.entries.size());
-    for (const TaskEntry& entry : task.entries) {
-      RequestState* state = core.processor().FindRequest(entry.request);
-      BM_CHECK(state != nullptr);
-      wt.states.push_back(state);
-    }
     const int worker = task.worker;
-    wt.task = std::move(task);
-    task_queues_[static_cast<size_t>(worker)]->Push(std::move(wt));
+    task_queues_[static_cast<size_t>(worker)]->Push(std::move(task));
   }
   formed.clear();
 }
@@ -825,8 +817,8 @@ void Server::HandleQuarantine(Shard& shard, const QuarantineMsg& msg) {
   // never overtake this quarantine through the inbox.
   pipe.quarantine_acks.fetch_add(1);
 
-  for (WorkerTask& wt : task_queues_[static_cast<size_t>(worker)]->DrainAll()) {
-    reclaimed.push_back(std::move(wt.task));
+  for (BatchedTask& task : task_queues_[static_cast<size_t>(worker)]->DrainAll()) {
+    reclaimed.push_back(std::move(task));
   }
   shard.core->Quarantine(worker, reclaimed);
   metrics_.worker(worker).quarantines.fetch_add(1, std::memory_order_relaxed);
@@ -1060,22 +1052,28 @@ void Server::ExecLoop(int worker, double idle_since) {
   }
 
   GatheredBatch gathered;
+  // The task's request states (states[i] owns task.entries[i]), in the form
+  // the device stages take; reused across tasks.
+  std::vector<RequestState*> states;
   for (;;) {
-    std::optional<WorkerTask> wt = tasks.TryPop();
-    if (!wt) {
+    std::optional<BatchedTask> popped = tasks.TryPop();
+    if (!popped) {
       // Nothing queued: this worker idles until the manager round-trips a
       // refill.
       if (idle_since < 0.0) {
         idle_since = NowMicros();
       }
-      wt = tasks.Pop();
-      if (!wt) {
+      popped = tasks.Pop();
+      if (!popped) {
         break;  // closed and drained
       }
     }
     close_idle();
-    BatchedTask& task = wt->task;
-    const std::vector<RequestState*>& states = wt->states;
+    BatchedTask& task = *popped;
+    states.clear();
+    for (const TaskEntry& entry : task.entries) {
+      states.push_back(entry.state);
+    }
     const int batch = task.BatchSize();
     // Injected faults are decided before anything is gathered: the task
     // then produces nothing, exactly like a pure cascade.
@@ -1085,7 +1083,7 @@ void Server::ExecLoop(int worker, double idle_since) {
     // back: the manager's queue drain and the commit's check together
     // cover every task this thread could be holding.
     std::vector<uint8_t> poisoned;
-    const int64_t seq = pipe.Commit(*wt, injected, health_on_, &poisoned);
+    const int64_t seq = pipe.Commit(task, injected, health_on_, &poisoned);
     if (seq < 0) {
       inbox.Push(ManagerMsg{RequeueMsg{std::move(task)}});
       continue;

@@ -36,10 +36,11 @@
 // pins a subgraph to one worker while it has in-flight tasks, and
 // cross-subgraph consumers are only scheduled after the producer's
 // completion has passed through the manager — so no two threads ever race
-// on the same tensor. Request states are resolved on the owning shard's
-// manager thread and passed to workers by pointer, so workers never read
-// a manager's request map; cross-shard migration only moves requests that
-// have never been scheduled, so no worker holds a pointer into them.
+// on the same tensor. Each task entry carries its request's state by
+// pointer, recorded by the scheduler when it formed the task, so workers
+// never read a manager's request map; cross-shard migration only moves
+// requests that have never been scheduled, so no worker holds a pointer
+// into them.
 //
 // Overload and failure semantics (see DESIGN.md): every Submit gets
 // exactly one terminal answer through its callback, tagged with a
@@ -300,13 +301,6 @@ class Server {
   using ManagerMsg = std::variant<ShardArrival, CompletionMsg, CancelMsg, PeerMsg,
                                   QuarantineMsg, ReadmitMsg, RequeueMsg>;
 
-  // A task plus the request states it touches, resolved by the manager so
-  // workers never read the request map.
-  struct WorkerTask {
-    BatchedTask task;
-    std::vector<RequestState*> states;
-  };
-
   // Per-worker stream state shared by the exec thread, its shard manager
   // and the watchdog (defined in server.cc).
   struct WorkerPipeline;
@@ -413,7 +407,7 @@ class Server {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
 
-  std::vector<std::unique_ptr<BlockingQueue<WorkerTask>>> task_queues_;
+  std::vector<std::unique_ptr<BlockingQueue<BatchedTask>>> task_queues_;
   std::vector<std::unique_ptr<WorkerPipeline>> pipelines_;
 
   // One exec thread per worker; the watchdog joins a dead one and respawns

@@ -50,11 +50,10 @@ size_t ShardCore::Local(int worker) const {
 
 // ---- Admission and the completion record ----------------------------------
 
-void ShardCore::Own(RequestState* state, Submission submission) {
-  if (submission.terminate) {
+void ShardCore::Own(RequestState* state) {
+  if (state->terminate) {
     ++num_terminations_;
   }
-  owned_.emplace(state->id, std::move(submission));
   const double shed = state->ShedDeadlineMicros();
   if (shed > 0.0) {
     deadlines_.emplace(state->arrival_micros + shed, state->id);
@@ -69,11 +68,15 @@ void ShardCore::Admit(ShardArrival arrival) {
   state->priority = arrival.priority;
   state->deadline_micros = arrival.deadline_micros;
   state->queue_timeout_micros = config_.queue_timeout_micros;
-  Own(state, Submission{std::move(arrival.outputs_wanted), std::move(arrival.on_response),
-                        std::move(arrival.terminate)});
+  state->outputs_wanted = std::move(arrival.outputs_wanted);
+  state->on_response = std::move(arrival.on_response);
+  state->terminate = std::move(arrival.terminate);
+  Own(state);
   // Every request starts never-scheduled, hence stealable; the candidacy
   // goes stale the moment the first task forms.
-  stealable_.insert({state->priority, state->id});
+  if (config_.num_shards > 1) {
+    stealable_.insert({state->priority, state->id});
+  }
 }
 
 void ShardCore::OnRequestComplete(RequestState* state) {
@@ -104,31 +107,27 @@ void ShardCore::OnRequestComplete(RequestState* state) {
 
   // The request is terminal: drop its steal candidacy eagerly
   // (PopStealable would discard it lazily anyway).
-  stealable_.erase({state->priority, state->id});
+  if (config_.num_shards > 1) {
+    stealable_.erase({state->priority, state->id});
+  }
 
-  const auto it = owned_.find(state->id);
-  BM_CHECK(it != owned_.end());
-  Submission submission = std::move(it->second);
-  owned_.erase(it);
-  if (submission.terminate) {
+  if (state->terminate) {
     --num_terminations_;
   }
   // Collect wanted outputs (kOk only — other terminal states carry none)
   // and fire the callback exactly once.
   std::vector<Tensor> outputs;
   if (status == RequestStatus::kOk) {
-    outputs.reserve(submission.outputs_wanted.size());
-    for (const ValueRef& ref : submission.outputs_wanted) {
+    outputs.reserve(state->outputs_wanted.size());
+    for (const ValueRef& ref : state->outputs_wanted) {
       if (state->nodes[static_cast<size_t>(ref.node)].stage == NodeStage::kCancelled) {
         continue;  // early termination cancelled this producer
       }
-      const auto& node_out = state->node_outputs[static_cast<size_t>(ref.node)];
-      BM_CHECK_LT(static_cast<size_t>(ref.output), node_out.size());
-      outputs.push_back(node_out[static_cast<size_t>(ref.output)]);
+      outputs.push_back(state->NodeOutput(ref.node, ref.output));
     }
   }
-  if (submission.on_response) {
-    submission.on_response(state->id, status, std::move(outputs));
+  if (state->on_response) {
+    state->on_response(state->id, status, std::move(outputs));
   }
   if (status == RequestStatus::kShed) {
     trace_->RequestDrop(state->id);
@@ -169,16 +168,13 @@ void ShardCore::Complete(const BatchedTask& task, const std::vector<int>& failed
         continue;
       }
       const TaskEntry& entry = task.entries[i];
-      const auto it = owned_.find(entry.request);
-      if (it == owned_.end() || !it->second.terminate) {
-        continue;
-      }
+      // By id, not entry.state: the completion may have finalized it.
       RequestState* state = processor_->FindRequest(entry.request);
-      if (state == nullptr) {
+      if (state == nullptr || !state->terminate) {
         continue;
       }
-      if (it->second.terminate(*state, entry.node)) {
-        it->second.terminate = nullptr;
+      if (state->terminate(*state, entry.node)) {
+        state->terminate = nullptr;
         --num_terminations_;
         scheduler_->CancelRequest(entry.request);
       }
@@ -388,20 +384,14 @@ void ShardCore::MigrateOut(RequestState* state, int to_shard) {
   Migration migration;
   migration.from_shard = config_.id;
   // Unhook the queued subgraphs from the scheduler first (the processor
-  // checks the request really was never scheduled), then move the state
-  // and its submission bookkeeping wholesale. The stale deadline-heap
+  // checks the request really was never scheduled), then move the state,
+  // submission bookkeeping included, wholesale. The stale deadline-heap
   // entry stays behind; FindRequest discards it lazily.
   scheduler_->DetachRequest(state);
-  migration.state = processor_->ReleaseRequest(id);
-  const auto it = owned_.find(id);
-  BM_CHECK(it != owned_.end());
-  migration.outputs_wanted = std::move(it->second.outputs_wanted);
-  migration.on_response = std::move(it->second.on_response);
-  migration.terminate = std::move(it->second.terminate);
-  if (migration.terminate) {
+  if (state->terminate) {
     --num_terminations_;
   }
-  owned_.erase(it);
+  migration.state = processor_->ReleaseRequest(id);
   metrics_->shard(config_.id).steals_out.fetch_add(1, std::memory_order_relaxed);
   driver_.send(to_shard, PeerMsg{std::move(migration)});
 }
@@ -415,8 +405,7 @@ void ShardCore::Adopt(Migration migration) {
   const RequestId id = state->id;
   // Re-keys the deadline on this shard's heap. The request is not listed
   // as stealable again: a request migrates at most once.
-  Own(state, Submission{std::move(migration.outputs_wanted),
-                        std::move(migration.on_response), std::move(migration.terminate)});
+  Own(state);
   metrics_->shard(config_.id).steals_in.fetch_add(1, std::memory_order_relaxed);
   if (!config_.shard_node.empty()) {
     // With node-aligned shard boundaries, a steal between shards on

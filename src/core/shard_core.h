@@ -3,8 +3,8 @@
 // manager").
 //
 // A shard owns a RequestProcessor + Scheduler (Algorithm 1), a contiguous
-// slice [worker_begin, worker_end) of the workers, the submission
-// bookkeeping of the requests it owns, a deadline heap, per-worker stream
+// slice [worker_begin, worker_end) of the workers, the requests it owns
+// and their submission bookkeeping, a deadline heap, per-worker stream
 // accounting and the stealing state. The core never blocks and never reads
 // a clock of its own: a driver feeds it one message at a time, runs Pass()
 // after each burst (or Wake() when NextWakeMicros() passes first), and
@@ -32,7 +32,6 @@
 #include <memory>
 #include <queue>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <variant>
@@ -48,12 +47,6 @@
 namespace batchmaker {
 
 class CostModel;
-
-// Early-termination predicate, evaluated on the owning shard after each of
-// the request's nodes completes. Returning true cancels all of the
-// request's not-yet-scheduled nodes (e.g. stop decoding once the token
-// output of `completed_node` is <eos>).
-using TerminationFn = std::function<bool(const RequestState&, int completed_node)>;
 
 // The predicate SubmitOptions::terminate_after_node declares: true once
 // `node` completes.
@@ -80,13 +73,10 @@ struct ShardArrival {
 struct HungerNotice {
   int from_shard = 0;
 };
-// A never-scheduled request moving to another shard, with its submission
-// bookkeeping.
+// A never-scheduled request moving to another shard; its submission
+// bookkeeping travels on the state.
 struct Migration {
   std::unique_ptr<RequestState> state;
-  std::vector<ValueRef> outputs_wanted;
-  ResponseFn on_response;
-  TerminationFn terminate;
   int from_shard = 0;
 };
 using PeerMsg = std::variant<HungerNotice, Migration>;
@@ -175,15 +165,9 @@ class ShardCore {
   size_t PendingDeadlines() const { return deadlines_.size(); }
 
  private:
-  // Submission bookkeeping of one owned request; moves with a migration.
-  struct Submission {
-    std::vector<ValueRef> outputs_wanted;
-    ResponseFn on_response;
-    TerminationFn terminate;
-  };
-
   void OnRequestComplete(RequestState* state);
-  void Own(RequestState* state, Submission submission);
+  // Takes ownership bookkeeping for an admitted or adopted request.
+  void Own(RequestState* state);
   size_t Local(int worker) const;
   void TrySchedule(int worker);
   void Refill();
@@ -209,7 +193,6 @@ class ShardCore {
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<BatchedTask> formed_;
 
-  std::unordered_map<RequestId, Submission> owned_;
   int num_terminations_ = 0;  // owned requests with a live predicate
 
   // In-flight task count per owned worker, indexed worker - worker_begin.
@@ -229,7 +212,8 @@ class ShardCore {
   // ---- Stealing ----
   // Donation candidates ordered by (priority, id): lowest priority first,
   // oldest first among equals. Entries go stale when a request is
-  // scheduled or terminal; PopStealable discards them lazily.
+  // scheduled or terminal; PopStealable discards them lazily. Kept only
+  // with more than one shard: nothing reads it otherwise.
   std::set<std::pair<int, RequestId>> stealable_;
   // Peers whose hunger notice arrived and that have not been given a
   // request since.

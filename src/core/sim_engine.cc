@@ -81,14 +81,10 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
                                           backend_.get());
 
   pool_->set_on_task_start([this](const BatchedTask& task) {
-    // A task's entries all belong to the shard that owns its worker: tasks
-    // are formed by that shard's scheduler out of its own processor.
-    ShardCore& core = ShardOfWorker(task.worker);
+    // A request with an entry in flight is never finalized, so every
+    // entry's state is live until the task completes.
     for (const TaskEntry& entry : task.entries) {
-      RequestState* state = core.processor().FindRequest(entry.request);
-      if (state != nullptr) {
-        state->MarkExecStarted(events_.Now());
-      }
+      entry.state->MarkExecStarted(events_.Now());
     }
     trace_.ExecBegin(task.id, task.type, task.worker, task.BatchSize());
   });

@@ -1,6 +1,7 @@
 #include "src/core/sync_engine.h"
 
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,9 +32,7 @@ SyncEngine::SyncEngine(const CellRegistry* registry, SchedulerOptions options)
                 NodeStage::kCancelled) {
               continue;  // early termination cancelled this producer
             }
-            const auto& node_out = state->node_outputs[static_cast<size_t>(ref.node)];
-            BM_CHECK_LT(static_cast<size_t>(ref.output), node_out.size());
-            response.outputs.push_back(node_out[static_cast<size_t>(ref.output)]);
+            response.outputs.push_back(state->NodeOutput(ref.node, ref.output));
           }
         }
         completed_.emplace(state->id, std::move(response));
@@ -61,6 +60,8 @@ double SyncEngine::NowMicros() const {
 RequestId SyncEngine::Submit(CellGraph graph, std::vector<Tensor> externals,
                              std::vector<ValueRef> outputs_wanted, SubmitOptions opts) {
   BM_CHECK(!externals.empty()) << "SyncEngine runs in real-compute mode";
+  const std::string err = graph.ValidateOrError(*registry_, externals);
+  BM_CHECK(err.empty()) << err;
   const RequestId id = next_request_id_++;
   for (const ValueRef& ref : outputs_wanted) {
     BM_CHECK(!ref.is_external());
@@ -80,6 +81,7 @@ RequestId SyncEngine::Submit(CellGraph graph, std::vector<Tensor> externals,
 void SyncEngine::RunToCompletion() {
   // Single synthetic worker 0; tasks execute inline so the worker is
   // "idle" again immediately after each Schedule round.
+  std::vector<RequestState*> states;  // states[i] owns the task's entries[i]
   for (;;) {
     std::vector<BatchedTask> tasks = scheduler_->Schedule(/*worker=*/0);
     if (tasks.empty()) {
@@ -90,15 +92,14 @@ void SyncEngine::RunToCompletion() {
     }
     for (BatchedTask& task : tasks) {
       const double exec_start = NowMicros();
+      states.clear();
       for (const TaskEntry& entry : task.entries) {
-        RequestState* state = processor_->FindRequest(entry.request);
-        if (state != nullptr) {
-          state->MarkExecStarted(exec_start);
-        }
+        entry.state->MarkExecStarted(exec_start);
+        states.push_back(entry.state);
       }
       trace_.ExecBegin(exec_start, task.id, task.type, task.worker, task.BatchSize());
       const ExecContext ctx{/*pool=*/nullptr, &arena_, precision_};
-      assembler_.ExecuteTask(task, processor_.get(), &ctx);
+      assembler_.ExecuteTask(task, states, &ctx);
       trace_.ExecEnd(task.id, task.type, task.worker, task.BatchSize());
       ++tasks_executed_;
       task_batch_sizes_.push_back(task.BatchSize());

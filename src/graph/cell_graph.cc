@@ -47,57 +47,90 @@ int CellGraph::NumNodePredecessors(int id) const {
   return num_node_preds_[static_cast<size_t>(id)];
 }
 
+namespace {
+
+// Builds a violation message; only reached once a check has failed, so a
+// valid graph never constructs a stream.
+template <typename... Parts>
+std::string Describe(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+}  // namespace
+
 void CellGraph::Validate(const CellRegistry& registry, int num_externals) const {
-  const std::string err = ValidateOrError(registry, num_externals);
+  const std::string err = FirstViolation(registry, num_externals, nullptr);
   BM_CHECK(err.empty()) << err;
 }
 
 std::string CellGraph::ValidateOrError(const CellRegistry& registry,
-                                       int num_externals) const {
-  std::ostringstream os;
+                                       const std::vector<Tensor>& externals) const {
+  return FirstViolation(registry, static_cast<int>(externals.size()), &externals);
+}
+
+std::string CellGraph::FirstViolation(const CellRegistry& registry, int num_externals,
+                                      const std::vector<Tensor>* externals) const {
+  // The input each external feeds. The tensors are checked after the graph,
+  // in one pass: a submission's externals are usually cold in cache, and
+  // independent checks in a tight loop overlap their misses.
+  std::vector<const CellInputSpec*> feeds(externals != nullptr ? externals->size() : 0, nullptr);
   for (int id = 0; id < NumNodes(); ++id) {
     const CellNode& n = nodes_[static_cast<size_t>(id)];
     if (n.type < 0 || n.type >= registry.NumTypes()) {
-      os << "unknown cell type " << n.type << " in node " << id;
-      return os.str();
+      return Describe("unknown cell type ", n.type, " in node ", id);
     }
     const CellDef& def = registry.def(n.type);
     if (static_cast<int>(n.inputs.size()) != def.NumInputs()) {
-      os << "node " << id << " input arity mismatch for cell '" << def.name() << "': got "
-         << n.inputs.size() << ", expected " << def.NumInputs();
-      return os.str();
+      return Describe("node ", id, " input arity mismatch for cell '", def.name(), "': got ",
+                      n.inputs.size(), ", expected ", def.NumInputs());
     }
     for (int i = 0; i < static_cast<int>(n.inputs.size()); ++i) {
       const ValueRef& ref = n.inputs[static_cast<size_t>(i)];
       const CellInputSpec& spec = def.input_spec(i);
       if (ref.is_external()) {
         if (ref.external >= num_externals) {
-          os << "node " << id << " references external input " << ref.external
-             << " but only " << num_externals << " are provided";
-          return os.str();
+          return Describe("node ", id, " references external input ", ref.external,
+                          " but only ", num_externals, " are provided");
+        }
+        if (externals != nullptr) {
+          const CellInputSpec*& feed = feeds[static_cast<size_t>(ref.external)];
+          if (feed == nullptr) {
+            feed = &spec;
+          } else if (!(feed->row_shape == spec.row_shape && feed->dtype == spec.dtype)) {
+            return Describe("external input ", ref.external, " feeds inputs of different types");
+          }
         }
         continue;
       }
       // AddNode already enforces 0 <= ref.node < id for graphs built through
-      // the API, but ValidateOrError must not trust the invariant.
+      // the API, but a submission check must not trust the invariant.
       if (ref.node < 0 || ref.node >= id) {
-        os << "node " << id << " references invalid node " << ref.node;
-        return os.str();
+        return Describe("node ", id, " references invalid node ", ref.node);
       }
       const CellNode& producer = nodes_[static_cast<size_t>(ref.node)];
       const CellDef& producer_def = registry.def(producer.type);
       if (ref.output < 0 || ref.output >= producer_def.NumOutputs()) {
-        os << "node " << id << " references missing output " << ref.output << " of node "
-           << ref.node;
-        return os.str();
+        return Describe("node ", id, " references missing output ", ref.output, " of node ",
+                        ref.node);
       }
       const ValueType& produced = producer_def.output_type(ref.output);
       if (!(produced.shape == spec.row_shape && produced.dtype == spec.dtype)) {
-        os << "edge type mismatch into node " << id << " input " << i << ": produced "
-           << produced.ToString() << ", expected " << spec.row_shape.ToString() << " "
-           << DTypeName(spec.dtype);
-        return os.str();
+        return Describe("edge type mismatch into node ", id, " input ", i, ": produced ",
+                        produced.ToString(), ", expected ", spec.row_shape.ToString(), " ",
+                        DTypeName(spec.dtype));
       }
+    }
+  }
+  for (size_t e = 0; e < feeds.size(); ++e) {
+    const Tensor& t = (*externals)[e];
+    const CellInputSpec* spec = feeds[e];
+    if (spec != nullptr && (t.dtype() != spec->dtype || t.shape().Rank() < 1 ||
+                            t.shape().dims()[0] != 1 || !t.shape().HasRowShape(spec->row_shape))) {
+      return Describe("external input ", e, " is ", t.shape().ToString(), " ",
+                      DTypeName(t.dtype()), ", expected one row of ",
+                      spec->row_shape.ToString(), " ", DTypeName(spec->dtype));
     }
   }
   return std::string();

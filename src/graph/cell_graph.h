@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/graph/cell_registry.h"
+#include "src/tensor/tensor.h"
 
 namespace batchmaker {
 
@@ -58,11 +59,15 @@ class CellGraph {
   // [0, num_externals). Aborts on violation.
   void Validate(const CellRegistry& registry, int num_externals) const;
 
-  // Non-aborting variant for untrusted submissions: returns an empty string
-  // if the graph is valid, otherwise a description of the first violation.
-  // The server uses this to reject malformed requests (kRejected) instead
-  // of taking the whole process down.
-  std::string ValidateOrError(const CellRegistry& registry, int num_externals) const;
+  // Non-aborting check of a submission, for untrusted input: everything
+  // Validate checks, plus that every external a node consumes is a
+  // [1, row...] tensor of the input slot's row shape and dtype. Returns an
+  // empty string if the submission is valid, otherwise a description of
+  // the first violation. The engines run it once per submission — the
+  // server rejects a malformed request (kRejected) instead of taking the
+  // whole process down — and trust the graph from then on.
+  std::string ValidateOrError(const CellRegistry& registry,
+                              const std::vector<Tensor>& externals) const;
 
   // Largest external index referenced + 1, or 0 if none.
   int NumExternalsReferenced() const;
@@ -70,6 +75,10 @@ class CellGraph {
   std::string DebugString(const CellRegistry& registry) const;
 
  private:
+  // Shared body of the checks; `externals` null checks indices only.
+  std::string FirstViolation(const CellRegistry& registry, int num_externals,
+                             const std::vector<Tensor>* externals) const;
+
   std::vector<CellNode> nodes_;
   std::vector<std::vector<int>> successors_;
   std::vector<int> num_node_preds_;

@@ -3,7 +3,8 @@
 // A task batches the execution of one cell type across many cell-graph
 // nodes, possibly from different requests. The runtime layer identifies
 // nodes by (request id, node id) pairs and does not depend on the request
-// machinery in src/core/.
+// machinery in src/core/: it only carries the engine's per-request state
+// through, as an opaque pointer.
 
 #ifndef SRC_RUNTIME_TASK_H_
 #define SRC_RUNTIME_TASK_H_
@@ -15,6 +16,8 @@
 
 namespace batchmaker {
 
+struct RequestState;  // src/core/request.h; carried through, never read here
+
 using RequestId = uint64_t;
 // Engines allocate request ids starting at 1; 0 marks "no request" (e.g. a
 // Submit rejected because it raced a Shutdown).
@@ -23,6 +26,10 @@ inline constexpr RequestId kInvalidRequestId = 0;
 struct TaskEntry {
   RequestId request = 0;
   int node = 0;  // cell-graph node id within the request
+  // The request's state, recorded by the scheduler when it forms the task
+  // (null in hand-built tasks). Valid until the entry completes: a request
+  // with an entry in flight is never finalized.
+  RequestState* state = nullptr;
 
   bool operator==(const TaskEntry& other) const {
     return request == other.request && node == other.node;

@@ -243,68 +243,85 @@ Tensor ArgmaxRows(const Tensor& a) {
   return out;
 }
 
+namespace {
+
+void* RawData(Tensor* t) {
+  return t->dtype() == DType::kF32 ? static_cast<void*>(t->f32()) : static_cast<void*>(t->i32());
+}
+
+const void* RawData(const Tensor& t) {
+  return t.dtype() == DType::kF32 ? static_cast<const void*>(t.f32())
+                                  : static_cast<const void*>(t.i32());
+}
+
+}  // namespace
+
 Tensor GatherRows(const std::vector<const Tensor*>& sources, const std::vector<int64_t>& rows) {
   BM_CHECK(!sources.empty());
   BM_CHECK_EQ(sources.size(), rows.size());
-  const Shape row_shape = sources[0]->shape().RowShape();
+  const Shape& first = sources[0]->shape();
   const DType dtype = sources[0]->dtype();
-
-  std::vector<int64_t> out_dims;
-  out_dims.push_back(static_cast<int64_t>(sources.size()));
-  for (int64_t d : row_shape.dims()) {
-    out_dims.push_back(d);
+  BM_CHECK_GE(first.Rank(), 1);
+  const size_t row_bytes =
+      static_cast<size_t>(first.NumElements() / std::max<int64_t>(first.Dim(0), 1)) *
+      DTypeSize(dtype);
+  std::vector<const void*> row_ptrs(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    const Tensor& src = *sources[i];
+    BM_CHECK(src.dtype() == dtype);
+    BM_CHECK(src.shape().Rank() == first.Rank() &&
+             std::equal(src.shape().dims().begin() + 1, src.shape().dims().end(),
+                        first.dims().begin() + 1))
+        << "row shape mismatch in GatherRows: " << src.shape().ToString();
+    BM_CHECK_GE(rows[i], 0);
+    BM_CHECK_LT(rows[i], src.shape().Dim(0));
+    row_ptrs[i] = static_cast<const unsigned char*>(RawData(src)) +
+                  static_cast<size_t>(rows[i]) * row_bytes;
   }
-  Tensor out = Tensor::Uninitialized(Shape(std::move(out_dims)), dtype);
-  GatherRowsInto(sources, rows, &out, 0, static_cast<int64_t>(sources.size()));
+  Tensor out =
+      Tensor::Uninitialized(first.WithDim(0, static_cast<int64_t>(sources.size())), dtype);
+  GatherRowPtrsInto(row_ptrs, &out, 0, static_cast<int64_t>(sources.size()));
   return out;
 }
 
-void GatherRowsInto(const std::vector<const Tensor*>& sources,
-                    const std::vector<int64_t>& rows, Tensor* out, int64_t begin,
-                    int64_t end) {
+void GatherRowPtrsInto(const std::vector<const void*>& rows, Tensor* out, int64_t begin,
+                       int64_t end) {
   BM_CHECK(out != nullptr);
-  BM_CHECK_EQ(sources.size(), rows.size());
   BM_CHECK_GE(begin, 0);
-  BM_CHECK_LE(end, static_cast<int64_t>(sources.size()));
-  BM_CHECK_EQ(out->shape().Dim(0), static_cast<int64_t>(sources.size()));
-  const Shape row_shape = out->shape().RowShape();
-  const DType dtype = out->dtype();
-  const int64_t row_elems = row_shape.NumElements();
-
+  BM_CHECK_LE(end, static_cast<int64_t>(rows.size()));
+  BM_CHECK_EQ(out->shape().Dim(0), static_cast<int64_t>(rows.size()));
+  const size_t row_bytes =
+      static_cast<size_t>(out->shape().RowElements()) * DTypeSize(out->dtype());
+  unsigned char* dst = static_cast<unsigned char*>(RawData(out));
   for (int64_t i = begin; i < end; ++i) {
-    const Tensor* src = sources[static_cast<size_t>(i)];
-    const int64_t row = rows[static_cast<size_t>(i)];
-    BM_CHECK(src->dtype() == dtype);
-    BM_CHECK(src->shape().RowShape() == row_shape)
-        << "row shape mismatch in GatherRows: " << src->shape().ToString();
-    BM_CHECK_GE(row, 0);
-    BM_CHECK_LT(row, src->shape().Dim(0));
-    if (dtype == DType::kF32) {
-      std::memcpy(out->f32() + i * row_elems, src->f32() + row * row_elems,
-                  static_cast<size_t>(row_elems) * sizeof(float));
-    } else {
-      std::memcpy(out->i32() + i * row_elems, src->i32() + row * row_elems,
-                  static_cast<size_t>(row_elems) * sizeof(int32_t));
-    }
+    std::memcpy(dst + static_cast<size_t>(i) * row_bytes, rows[static_cast<size_t>(i)],
+                row_bytes);
   }
 }
 
 void ScatterRow(const Tensor& batch, int64_t src_row, Tensor* dst, int64_t dst_row) {
   BM_CHECK(dst != nullptr);
   BM_CHECK(batch.dtype() == dst->dtype());
-  BM_CHECK(batch.shape().RowShape() == dst->shape().RowShape());
-  BM_CHECK_GE(src_row, 0);
-  BM_CHECK_LT(src_row, batch.shape().Dim(0));
+  BM_CHECK(batch.shape().Rank() == dst->shape().Rank() &&
+           std::equal(batch.shape().dims().begin() + 1, batch.shape().dims().end(),
+                      dst->shape().dims().begin() + 1));
   BM_CHECK_GE(dst_row, 0);
   BM_CHECK_LT(dst_row, dst->shape().Dim(0));
-  const int64_t row_elems = batch.shape().RowElements();
-  if (batch.dtype() == DType::kF32) {
-    std::memcpy(dst->f32() + dst_row * row_elems, batch.f32() + src_row * row_elems,
-                static_cast<size_t>(row_elems) * sizeof(float));
-  } else {
-    std::memcpy(dst->i32() + dst_row * row_elems, batch.i32() + src_row * row_elems,
-                static_cast<size_t>(row_elems) * sizeof(int32_t));
-  }
+  const size_t row_bytes =
+      static_cast<size_t>(batch.shape().RowElements()) * DTypeSize(batch.dtype());
+  CopyRowTo(batch, src_row, static_cast<unsigned char*>(RawData(dst)) +
+                                static_cast<size_t>(dst_row) * row_bytes);
+}
+
+void CopyRowTo(const Tensor& batch, int64_t row, void* dst) {
+  BM_CHECK_GE(row, 0);
+  BM_CHECK_LT(row, batch.shape().Dim(0));
+  const size_t row_bytes =
+      static_cast<size_t>(batch.shape().RowElements()) * DTypeSize(batch.dtype());
+  std::memcpy(dst,
+              static_cast<const unsigned char*>(RawData(batch)) +
+                  static_cast<size_t>(row) * row_bytes,
+              row_bytes);
 }
 
 Tensor ExtractRow(const Tensor& batch, int64_t row) {

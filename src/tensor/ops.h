@@ -62,16 +62,19 @@ Tensor ArgmaxRows(const Tensor& a);
 // and dtype; `rows[i]` selects the row within `sources[i]`.
 Tensor GatherRows(const std::vector<const Tensor*>& sources, const std::vector<int64_t>& rows);
 
-// Range form for parallel gather: copies batch rows [begin, end) into `out`,
-// which must already have shape [sources.size()] + row shape. Disjoint
-// ranges touch disjoint memory, so the batch assembler fans this out across
-// a ThreadPool.
-void GatherRowsInto(const std::vector<const Tensor*>& sources,
-                    const std::vector<int64_t>& rows, Tensor* out, int64_t begin,
-                    int64_t end);
+// Range form over raw rows, for parallel gather: copies batch rows
+// [begin, end) of `out` from rows[i], each one row of `out`'s row shape and
+// dtype laid out densely (the caller's layout guarantees it; nothing is
+// checked per row). Disjoint ranges touch disjoint memory, so the batch
+// assembler fans this out across a ThreadPool.
+void GatherRowPtrsInto(const std::vector<const void*>& rows, Tensor* out, int64_t begin,
+                       int64_t end);
 
 // Copies row `src_row` of `batch` into row `dst_row` of `dst`.
 void ScatterRow(const Tensor& batch, int64_t src_row, Tensor* dst, int64_t dst_row);
+
+// Copies row `row` of `batch` to `dst`, which has room for one row.
+void CopyRowTo(const Tensor& batch, int64_t row, void* dst);
 
 // Extracts row `row` of a batched tensor as a [1, ...] tensor.
 Tensor ExtractRow(const Tensor& batch, int64_t row);

@@ -1,5 +1,6 @@
 #include "src/tensor/shape.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/util/logging.h"
@@ -46,6 +47,11 @@ Shape Shape::WithDim(int i, int64_t value) const {
 Shape Shape::RowShape() const {
   BM_CHECK_GE(Rank(), 1);
   return Shape(std::vector<int64_t>(dims_.begin() + 1, dims_.end()));
+}
+
+bool Shape::HasRowShape(const Shape& row) const {
+  return !dims_.empty() && dims_.size() == row.dims_.size() + 1 &&
+         std::equal(row.dims_.begin(), row.dims_.end(), dims_.begin() + 1);
 }
 
 int64_t Shape::RowElements() const {

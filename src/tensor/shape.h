@@ -31,6 +31,8 @@ class Shape {
 
   // For rank >= 1: all dims except the first (batch) dim.
   Shape RowShape() const;
+  // RowShape() == row, without building the row shape. False for rank 0.
+  bool HasRowShape(const Shape& row) const;
 
   // Number of elements in one batch row (NumElements / Dim(0)). Requires
   // rank >= 1 and Dim(0) > 0.

@@ -351,9 +351,7 @@ TEST(CancelServerTest, ContentBasedEosStopsDecoding) {
                   if (completed_node < src_len) {
                     return false;  // still encoding
                   }
-                  const auto& outs =
-                      state.node_outputs[static_cast<size_t>(completed_node)];
-                  return outs[2].IntAt(0, 0) == eos;
+                  return state.NodeOutput(completed_node, 2).IntAt(0, 0) == eos;
                 });
   const auto stopped = future.get();
   server.Shutdown();

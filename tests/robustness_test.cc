@@ -105,6 +105,24 @@ TEST(RobustnessTest, InvalidSubmissionsAreRejectedNotFatal) {
   // outputs_wanted referencing an external instead of a node output.
   expect_rejected(server.SubmitAndWait(fix.model.Unfold(1), MakeChainExternals(xs, 4),
                                        {ValueRef::External(0)}));
+  // Externals that do not fit the input slot they feed. Each used to pass
+  // validation and abort the whole process in the exec thread's gather.
+  const std::vector<Tensor> narrow(3, Tensor::Zeros(Shape{1, 2}));
+  expect_rejected(server.SubmitAndWait(fix.model.Unfold(3), MakeChainExternals(narrow, 4),
+                                       {ValueRef::Output(2, 0)}));
+  const std::vector<Tensor> ints(3, Tensor::Zeros(Shape{1, 4}, DType::kI32));
+  expect_rejected(server.SubmitAndWait(fix.model.Unfold(3), MakeChainExternals(ints, 4),
+                                       {ValueRef::Output(2, 0)}));
+  const std::vector<Tensor> two_rows(1, Tensor::Zeros(Shape{2, 4}));
+  expect_rejected(server.SubmitAndWait(fix.model.Unfold(1), MakeChainExternals(two_rows, 4),
+                                       {ValueRef::Output(0, 0)}));
+  const std::vector<Tensor> unbatched(1, Tensor::Zeros(Shape{4}));
+  expect_rejected(server.SubmitAndWait(fix.model.Unfold(1), MakeChainExternals(unbatched, 4),
+                                       {ValueRef::Output(0, 0)}));
+  std::vector<Tensor> bad_state = MakeChainExternals(xs, 4);
+  bad_state.back() = Tensor::Zeros(Shape{1, 3});  // c0 one column short
+  expect_rejected(server.SubmitAndWait(fix.model.Unfold(1), std::move(bad_state),
+                                       {ValueRef::Output(0, 0)}));
 
   // The server survived all of it and still serves valid requests.
   const Response ok = server.SubmitAndWait(fix.model.Unfold(1), MakeChainExternals(xs, 4),

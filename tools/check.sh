@@ -5,8 +5,9 @@
 #
 # Usage: tools/check.sh [--no-tsan] [--asan] [--perf-smoke] [--chaos]
 #                       [--kernel-tiers]
-#   --asan        additionally rebuild the concurrency tests under
-#                 ASan+UBSan and run them (mirrors the ci.yml asan job)
+#   --asan        additionally rebuild the concurrency tests and the
+#                 single-threaded core tests under ASan+UBSan and run them
+#                 (mirrors the ci.yml asan job)
 #   --perf-smoke  additionally run the fig07 + overload perf-smoke points
 #                 and compare p50/p99 against
 #                 bench/baselines/BENCH_fig07_baseline.json
@@ -111,9 +112,13 @@ if [[ "$run_asan" == 1 ]]; then
   cmake --build build-asan -j "$(nproc)" \
     --target server_test obs_test thread_pool_test determinism_test \
     robustness_test cancellation_test sharding_test api_conformance_test \
-    numa_placement_test watchdog_test util_test device_test
+    numa_placement_test watchdog_test util_test device_test \
+    request_processor_test scheduler_test sync_engine_test sim_engine_test \
+    property_test attention_test
+  # Anchored: unanchored, property_test also matches tensor_property_test,
+  # which this build does not compile.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test'
+    -R '^(server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test|request_processor_test|scheduler_test|sync_engine_test|sim_engine_test|property_test|attention_test)$'
 fi
 
 if [[ "$run_perf" == 1 ]]; then
