@@ -7,9 +7,11 @@
 // paper's configuration (hidden size 1024, one [b,2h]x[2h,4h] matmul plus
 // elementwise gates) and at servebench's h=256 cell, scaled down in batch
 // range to keep runtime sane on a small machine. Beside every `lstm_step`
-// row sits an `lstm_gemm` row: the gate GEMM alone (MatMulPacked on the
-// same weight, packed at the same precision), so each pair of rows gives
-// the GEMM's share of the step.
+// row sits an `lstm_gemm` row: the gate GEMM alone, as the executor calls
+// it — the same weight packed at the same precision, the bias in the store
+// epilogue, and at fp32 split-K straight from x and h (bf16 and int8 read
+// the concatenated xh) — so each pair of rows gives the GEMM's share of the
+// step.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "src/tensor/activation.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/gemm.h"
+#include "src/tensor/ops.h"
 
 namespace batchmaker {
 namespace {
@@ -35,16 +38,24 @@ void PrintCurveTable(const char* title, const CostCurve& curve, int max_batch) {
   }
 }
 
-// The [2h, 4h] gate weight: the right operand of the cell's one MatMul.
-const Tensor& GateWeight(const CellDef& def) {
+// The cell's one MatMul: its [2h, 4h] gate weight, and the [4h] bias of the
+// AddBias that reads it.
+struct GateParams {
+  const Tensor* weight = nullptr;
+  const Tensor* bias = nullptr;
+};
+GateParams FindGateParams(const CellDef& def) {
+  GateParams gate;
   for (const int id : def.TopoOrder()) {
     const OpNode& node = def.op(id);
     if (node.kind == OpKind::kMatMul) {
-      return def.op(node.inputs[1]).weight;
+      gate.weight = &def.op(node.inputs[1]).weight;
+    } else if (node.kind == OpKind::kAddBias && def.op(node.inputs[0]).kind == OpKind::kMatMul) {
+      gate.bias = &def.op(node.inputs[1]).weight;
     }
   }
-  BM_CHECK(false) << "cell has no MatMul";
-  return def.op(0).weight;
+  BM_CHECK(gate.weight != nullptr && gate.bias != nullptr) << "cell has no biased MatMul";
+  return gate;
 }
 
 // Times `step` and `gemm` interleaved over five rounds, each round a
@@ -87,6 +98,7 @@ void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
   Rng rng(7);
   const LstmSpec spec{.input_dim = hidden, .hidden = hidden};
   const auto def = BuildLstmCell(spec, &rng);
+  const GateParams gate = FindGateParams(*def);
   const std::string shape = "h=" + std::to_string(hidden);
 
   // Precision sweep: the same cell executed fp32 / bf16 / int8 (per-CellDef
@@ -94,7 +106,7 @@ void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
   for (const Precision prec :
        {Precision::kF32, Precision::kBf16, Precision::kInt8}) {
     const CellExecutor exec(def.get(), prec);
-    const PackedMatrix gemm_weight = PackAs(GateWeight(*def), prec);
+    const PackedMatrix gemm_weight = PackAs(*gate.weight, prec);
     // Serving configuration: intermediates come from a recycled arena, as
     // in the server's workers.
     TensorArena arena;
@@ -109,7 +121,10 @@ void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
       const Tensor x = Tensor::RandomUniform(Shape{b, hidden}, 1.0f, &rng);
       const Tensor h = Tensor::RandomUniform(Shape{b, hidden}, 1.0f, &rng);
       const Tensor c = Tensor::RandomUniform(Shape{b, hidden}, 1.0f, &rng);
-      const Tensor xh = Tensor::RandomUniform(Shape{b, 2 * hidden}, 1.0f, &rng);
+      const Tensor xh = ConcatCols({&x, &h});
+      const std::vector<const Tensor*> gemm_parts =
+          prec == Precision::kF32 ? std::vector<const Tensor*>{&x, &h}
+                                  : std::vector<const Tensor*>{&xh};
       const auto [step_ns, gemm_ns] = MeasureStepAndGemmNs(
           [&] {
             exec.Execute({&x, &h, &c}, &ctx);
@@ -118,7 +133,7 @@ void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
           [&] {
             {
               const ArenaScope scope(&arena);
-              MatMulPacked(xh, gemm_weight);
+              MatMulPackedParts(gemm_parts, gemm_weight, gate.bias);
             }
             arena.Reset();
           });

@@ -35,18 +35,27 @@ BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_GemmPacked(benchmark::State& state) {
   // The serving-path configuration: B packed once (as CellExecutor caches
-  // per-weight packs), A re-packed per call.
-  const int64_t n = state.range(0);
+  // per-weight packs), A read in place per call. Args: m, k, n.
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
   Rng rng(1);
-  const Tensor a = Tensor::RandomUniform(Shape{n, n}, 1.0f, &rng);
-  const Tensor b = Tensor::RandomUniform(Shape{n, n}, 1.0f, &rng);
+  const Tensor a = Tensor::RandomUniform(Shape{m, k}, 1.0f, &rng);
+  const Tensor b = Tensor::RandomUniform(Shape{k, n}, 1.0f, &rng);
   const PackedMatrix packed = PackedMatrix::Pack(b);
   for (auto _ : state) {
     benchmark::DoNotOptimize(MatMulPacked(a, packed));
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_GemmPacked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+// Square sizes, then servebench lstm-cpu-closed's gate GEMM: 53 rows of
+// [x | h] at h=256 times the [512, 1024] gate weight.
+BENCHMARK(BM_GemmPacked)
+    ->Args({64, 64, 64})
+    ->Args({128, 128, 128})
+    ->Args({256, 256, 256})
+    ->Args({512, 512, 512})
+    ->Args({53, 512, 1024});
 
 void BM_GemmPackedPool(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -24,37 +24,33 @@ CellExecutor::CellExecutor(const CellDef* def, Precision precision)
     }
   }
 
-  // MatMul -> AddBias(matmul, param) chains where the MatMul has no other
-  // reader fold the bias into the int8 dequant epilogue. Identified once
-  // here; Execute consults the map only when running at int8.
-  std::vector<int> consumer_count(static_cast<size_t>(def->NumOps()), 0);
-  std::vector<int> sole_consumer(static_cast<size_t>(def->NumOps()), -1);
-  std::vector<bool> is_output(static_cast<size_t>(def->NumOps()), false);
+  // Fusions: a packed MatMul whose only reader is AddBias(matmul, param)
+  // takes the bias into its GEMM epilogue; a Concat whose only reader is a
+  // packed MatMul's LHS becomes that GEMM's split-K parts.
+  const size_t num_ops = static_cast<size_t>(def->NumOps());
+  std::vector<int> readers(num_ops, 0);
   for (int id = 0; id < def->NumOps(); ++id) {
     for (int input : def->op(id).inputs) {
-      consumer_count[static_cast<size_t>(input)]++;
-      sole_consumer[static_cast<size_t>(input)] = id;
+      readers[static_cast<size_t>(input)]++;
     }
   }
   for (int i = 0; i < def->NumOutputs(); ++i) {
-    is_output[static_cast<size_t>(def->output_op(i))] = true;
+    readers[static_cast<size_t>(def->output_op(i))]++;  // an output is never fused
   }
-  for (const auto& [mm_id, packed] : packed_weights_) {
-    (void)packed;
-    if (consumer_count[static_cast<size_t>(mm_id)] != 1 ||
-        is_output[static_cast<size_t>(mm_id)]) {
-      continue;
+  bias_fused_.assign(num_ops, false);
+  concat_split_.assign(num_ops, false);
+  for (int id = 0; id < def->NumOps(); ++id) {
+    const OpNode& node = def->op(id);
+    if (node.kind == OpKind::kAddBias && packed_weights_.count(node.inputs[0]) != 0 &&
+        readers[static_cast<size_t>(node.inputs[0])] == 1 &&
+        def->op(node.inputs[1]).kind == OpKind::kParam) {
+      bias_fused_[static_cast<size_t>(node.inputs[0])] = true;
     }
-    const int consumer = sole_consumer[static_cast<size_t>(mm_id)];
-    const OpNode& cnode = def->op(consumer);
-    if (cnode.kind != OpKind::kAddBias || cnode.inputs[0] != mm_id) {
-      continue;
+    if (node.kind == OpKind::kMatMul && packed_weights_.count(id) != 0 &&
+        def->op(node.inputs[0]).kind == OpKind::kConcat &&
+        readers[static_cast<size_t>(node.inputs[0])] == 1) {
+      concat_split_[static_cast<size_t>(node.inputs[0])] = true;
     }
-    if (def->op(cnode.inputs[1]).kind != OpKind::kParam) {
-      continue;
-    }
-    fused_bias_[mm_id] = consumer;
-    fused_bias_rev_[consumer] = mm_id;
   }
 
   if (precision_ != Precision::kF32) {
@@ -221,6 +217,24 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
     computed[static_cast<size_t>(id)] = std::move(t);
     values[static_cast<size_t>(id)] = &computed[static_cast<size_t>(id)];
   };
+  const bool split_k = prec == Precision::kF32;
+  // The packed GEMM of MatMul `mm_id`, + `bias` when non-null; at fp32 a
+  // split Concat's inputs are its parts.
+  auto run_gemm = [&](int mm_id, const Tensor* bias) {
+    const int lhs = def.op(mm_id).inputs[0];
+    std::vector<const Tensor*> parts;
+    if (split_k && concat_split_[static_cast<size_t>(lhs)]) {
+      for (int input : def.op(lhs).inputs) {
+        parts.push_back(values[static_cast<size_t>(input)]);
+      }
+    } else {
+      parts.push_back(values[static_cast<size_t>(lhs)]);
+    }
+    for (const Tensor* part : parts) {
+      BM_CHECK(part != nullptr);
+    }
+    return MatMulPackedParts(parts, *packed_for(mm_id, prec), bias, pool);
+  };
 
   for (int id : def.TopoOrder()) {
     const OpNode& node = def.op(id);
@@ -236,20 +250,13 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
       case OpKind::kParam:
         values[static_cast<size_t>(id)] = &node.weight;
         break;
-      case OpKind::kMatMul: {
-        const auto packed_it = packed_weights_.find(id);
-        if (packed_it == packed_weights_.end()) {
+      case OpKind::kMatMul:
+        if (packed_weights_.count(id) == 0) {
           set_computed(id, MatMul(in(0), in(1)));
-          break;
-        }
-        if (prec == Precision::kInt8 && fused_bias_.count(id) != 0) {
-          // Deferred: the consuming AddBias computes this MatMul with the
-          // bias fused into the dequant epilogue.
-          break;
-        }
-        set_computed(id, MatMulPacked(in(0), *packed_for(id, prec), pool));
+        } else if (!bias_fused_[static_cast<size_t>(id)]) {
+          set_computed(id, run_gemm(id, nullptr));
+        }  // else the reading AddBias runs it
         break;
-      }
       case OpKind::kAdd:
         set_computed(id, Add(in(0), in(1)));
         break;
@@ -259,22 +266,13 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
       case OpKind::kMul:
         set_computed(id, Mul(in(0), in(1)));
         break;
-      case OpKind::kAddBias: {
-        if (prec == Precision::kInt8) {
-          const auto fused_it = fused_bias_rev_.find(id);
-          if (fused_it != fused_bias_rev_.end()) {
-            const OpNode& mm = def.op(fused_it->second);
-            const Tensor* lhs = values[static_cast<size_t>(mm.inputs[0])];
-            BM_CHECK(lhs != nullptr);
-            set_computed(
-                id, MatMulPackedBias(
-                        *lhs, *packed_for(fused_it->second, Precision::kInt8), in(1), pool));
-            break;
-          }
+      case OpKind::kAddBias:
+        if (bias_fused_[static_cast<size_t>(node.inputs[0])]) {
+          set_computed(id, run_gemm(node.inputs[0], &in(1)));
+        } else {
+          set_computed(id, AddBias(in(0), in(1)));
         }
-        set_computed(id, AddBias(in(0), in(1)));
         break;
-      }
       case OpKind::kSigmoid:
         set_computed(id, Sigmoid(in(0)));
         break;
@@ -288,6 +286,9 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
         set_computed(id, Softmax(in(0)));
         break;
       case OpKind::kConcat: {
+        if (split_k && concat_split_[static_cast<size_t>(id)]) {
+          break;  // read in place by its MatMul
+        }
         std::vector<const Tensor*> parts;
         parts.reserve(node.inputs.size());
         for (size_t i = 0; i < node.inputs.size(); ++i) {

@@ -116,12 +116,16 @@ class CellExecutor {
   mutable std::unordered_map<int, PackedMatrix> packed_int8_;
   mutable std::once_flag bf16_once_;
   mutable std::once_flag int8_once_;
-  // MatMul op id -> consuming AddBias op id (and the reverse) for chains
-  // where the bias add can fold into the int8 dequant epilogue: the MatMul
-  // has exactly one consumer, that consumer is AddBias(matmul, param), and
-  // the MatMul result is not itself a declared cell output.
-  std::unordered_map<int, int> fused_bias_;
-  std::unordered_map<int, int> fused_bias_rev_;
+  // GEMM fusions, found once at construction; indexed by op id. A fused
+  // value is never a cell output and has exactly one reader.
+  //  - bias_fused_[mm]: packed MatMul `mm` is read only by AddBias(mm,
+  //    param), which runs the GEMM with the bias in its store epilogue.
+  //  - concat_split_[cat]: Concat `cat` is read only by a packed MatMul; at
+  //    fp32 it is never built, the GEMM reads its inputs in place (split-K).
+  //    bf16 and int8 still build it (int8's per-row activation scale spans
+  //    all of K).
+  std::vector<bool> bias_fused_;
+  std::vector<bool> concat_split_;
   // Node id -> refcounted replica. Guarded by replica_mu_ for structural
   // access (acquire/release/find); a replica's packs are immutable once its
   // ready flag is set, so Execute reads them lock-free after the one

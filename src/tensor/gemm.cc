@@ -17,14 +17,23 @@ namespace batchmaker {
 
 namespace {
 
-// Register-tile dimensions. NR is two 8-float SIMD vectors; MR=6 keeps the
-// 12 accumulator vectors plus 2 B vectors and a broadcast inside 16 ymm
-// registers. The packed layouts below are kernel-agnostic: the scalar
-// fallback consumes the same panels.
+// fp32 panels are kF32Nr columns wide on every tier: four zmm or eight ymm
+// vectors per B row. The AVX-512 tile is kF32Mr x kF32Nr, 24 accumulators;
+// the AVX2 kernel covers the same tile as four 6x16 sub-tiles (12
+// accumulators each, inside 16 ymm registers); the scalar kernel walks the
+// tile's rows. A K block of kKc B rows (32 KB) stays in L1 while every row
+// tile of a job passes over it. A is read in place, never repacked.
+constexpr int64_t kF32Nr = 64;
+constexpr int64_t kF32Mr = 6;
+constexpr int64_t kKc = 128;
+// bf16 / int8 register tile: NR is one 16-float zmm (two ymm); MR=6 keeps
+// the 12 AVX2 accumulator vectors plus 2 B vectors and a broadcast inside 16
+// ymm registers. Those packed layouts are kernel-agnostic too: the scalar
+// fallbacks consume the same panels.
 constexpr int64_t kMr = 6;
 constexpr int64_t kNr = 16;
-// Rows of A packed (and owned) per parallel job; a multiple of kMr so tile
-// boundaries are identical whether A is packed whole or in blocks.
+// Rows per parallel job; a multiple of kMr and kF32Mr so a job's row tiles
+// line up with the serial path's.
 constexpr int64_t kMc = 120;
 
 // bfloat16 <-> float, round-to-nearest-even on the way down.
@@ -42,11 +51,19 @@ inline float FloatFromBf16(uint16_t h) {
   return f;
 }
 
-// One output tile: C[rows, cols] (+)= Ap * Bp, where Ap is k x kMr
-// (k-major, kMr consecutive row values) and Bp is k x kNr. Accumulation
-// over k is strictly sequential per element — the determinism contract.
-using KernelFn = void (*)(const float* ap, const float* bp, int64_t k, float* c,
-                          int64_t ldc, int64_t rows, int64_t cols, bool accumulate);
+// One fp32 output tile over one K block: C[rows, cols] = (load_c ? C : 0)
+// + A[rows, kc] * Bp[kc, kF32Nr], plus `bias` (nullable) once the block is
+// done. A is read in place, its rows `lda` floats apart; Bp is the panel's
+// rows for this K block. Each C element is one fp32 value that starts from
+// zero or from C and takes its kc products strictly in k order, so its
+// result depends on K and the kernel alone: not on `rows`, on the tile's
+// position, on where K blocks or column parts split K, or on the bias
+// (added to the finished sum, as a separate AddBias would). `next_bp`
+// (nullable) is the next K block's B rows: the SIMD kernels prefetch it
+// into L2 while they compute, so it is there when its first tile starts.
+using KernelFn = void (*)(const float* a, int64_t lda, const float* bp, int64_t kc,
+                          float* c, int64_t ldc, int64_t rows, int64_t cols, bool load_c,
+                          const float* bias, const float* next_bp);
 
 // bf16 tile: Ap is `groups` k-pairs of kMr rows (kMr x 2 bf16 per group),
 // Bp is `groups` k-pairs of kNr columns (kNr x 2 bf16 per group); padded
@@ -81,112 +98,172 @@ void StorePartial(const float* tile, float* c, int64_t ldc, int64_t rows, int64_
   }
 }
 
-void MicroKernelScalar(const float* ap, const float* bp, int64_t k, float* c, int64_t ldc,
-                       int64_t rows, int64_t cols, bool accumulate) {
-  float acc[kMr * kNr] = {};
-  for (int64_t p = 0; p < k; ++p) {
-    const float* a_col = ap + p * kMr;
-    const float* b_row = bp + p * kNr;
-    for (int64_t ii = 0; ii < kMr; ++ii) {
-      const float a_val = a_col[ii];
-      float* acc_row = acc + ii * kNr;
-      for (int64_t jj = 0; jj < kNr; ++jj) {
-        acc_row[jj] += a_val * b_row[jj];
+void MicroKernelScalar(const float* a, int64_t lda, const float* bp, int64_t kc, float* c,
+                       int64_t ldc, int64_t rows, int64_t cols, bool load_c,
+                       const float* bias, const float* /*next_bp*/) {
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* a_row = a + i * lda;
+    float* dst = c + i * ldc;
+    float acc[kF32Nr] = {};
+    if (load_c) {
+      std::copy_n(dst, cols, acc);
+    }
+    for (int64_t p = 0; p < kc; ++p) {
+      const float a_val = a_row[p];
+      const float* b_row = bp + p * kF32Nr;
+      for (int64_t j = 0; j < cols; ++j) {
+        acc[j] += a_val * b_row[j];
       }
     }
+    for (int64_t j = 0; j < cols; ++j) {
+      dst[j] = bias != nullptr ? acc[j] + bias[j] : acc[j];
+    }
   }
-  StorePartial(acc, c, ldc, rows, cols, accumulate);
 }
 
 #if BM_GEMM_X86
-__attribute__((target("avx2,fma"))) void MicroKernelAvx2(const float* ap, const float* bp,
-                                                         int64_t k, float* c, int64_t ldc,
-                                                         int64_t rows, int64_t cols,
-                                                         bool accumulate) {
-  __m256 acc0[kMr];
-  __m256 acc1[kMr];
-  for (int ii = 0; ii < kMr; ++ii) {
-    acc0[ii] = _mm256_setzero_ps();
-    acc1[ii] = _mm256_setzero_ps();
+// R rows x 16 columns (cols <= 16 of them stored) of one panel's 16-column
+// slice `bp`, whose rows are still kF32Nr floats apart.
+template <int R>
+__attribute__((target("avx2,fma"))) void TileAvx2(const float* a, int64_t lda,
+                                                  const float* bp, int64_t kc, float* c,
+                                                  int64_t ldc, int64_t cols, bool load_c,
+                                                  const float* bias, const float* next_bp) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i mask0 = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)), lane);
+  const __m256i mask1 =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols) - 8), lane);
+  __m256 acc0[R];
+  __m256 acc1[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    acc0[r] = load_c ? _mm256_maskload_ps(c + r * ldc, mask0) : _mm256_setzero_ps();
+    acc1[r] = load_c ? _mm256_maskload_ps(c + r * ldc + 8, mask1) : _mm256_setzero_ps();
   }
-  for (int64_t p = 0; p < k; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
-    const float* a_col = ap + p * kMr;
-    for (int ii = 0; ii < kMr; ++ii) {
-      const __m256 a_val = _mm256_broadcast_ss(a_col + ii);
-      acc0[ii] = _mm256_fmadd_ps(a_val, b0, acc0[ii]);
-      acc1[ii] = _mm256_fmadd_ps(a_val, b1, acc1[ii]);
+  for (int64_t p = 0; p < kc; ++p) {
+    if (next_bp != nullptr) {
+      _mm_prefetch(reinterpret_cast<const char*>(next_bp + p * kF32Nr), _MM_HINT_T1);
+    }
+    const __m256 b0 = _mm256_loadu_ps(bp + p * kF32Nr);
+    const __m256 b1 = _mm256_loadu_ps(bp + p * kF32Nr + 8);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 a_val = _mm256_broadcast_ss(a + r * lda + p);
+      acc0[r] = _mm256_fmadd_ps(a_val, b0, acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(a_val, b1, acc1[r]);
     }
   }
-  if (rows == kMr && cols == kNr) {
-    for (int ii = 0; ii < kMr; ++ii) {
-      float* dst = c + ii * ldc;
-      if (accumulate) {
-        acc0[ii] = _mm256_add_ps(acc0[ii], _mm256_loadu_ps(dst));
-        acc1[ii] = _mm256_add_ps(acc1[ii], _mm256_loadu_ps(dst + 8));
-      }
-      _mm256_storeu_ps(dst, acc0[ii]);
-      _mm256_storeu_ps(dst + 8, acc1[ii]);
+  if (bias != nullptr) {
+    const __m256 bias0 = _mm256_maskload_ps(bias, mask0);
+    const __m256 bias1 = _mm256_maskload_ps(bias + 8, mask1);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      acc0[r] = _mm256_add_ps(acc0[r], bias0);
+      acc1[r] = _mm256_add_ps(acc1[r], bias1);
     }
-    return;
   }
-  float tile[kMr * kNr];
-  for (int ii = 0; ii < kMr; ++ii) {
-    _mm256_storeu_ps(tile + ii * kNr, acc0[ii]);
-    _mm256_storeu_ps(tile + ii * kNr + 8, acc1[ii]);
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    _mm256_maskstore_ps(c + r * ldc, mask0, acc0[r]);
+    _mm256_maskstore_ps(c + r * ldc + 8, mask1, acc1[r]);
   }
-  StorePartial(tile, c, ldc, rows, cols, accumulate);
 }
-// One 16-float zmm covers the full NR tile width, so each row needs a
-// single accumulator; k is unrolled by two with disjoint accumulator sets
-// (12 independent FMA chains) to cover the FMA latency. The even/odd split
-// fixes a *different* per-element summation order than the other kernels —
-// allowed: the determinism contract is per-kernel, and kernel choice
-// depends only on the CPU, never on thread count or shape.
-__attribute__((target("avx512f"))) void MicroKernelAvx512(const float* ap, const float* bp,
-                                                          int64_t k, float* c, int64_t ldc,
-                                                          int64_t rows, int64_t cols,
-                                                          bool accumulate) {
-  __m512 acc_even[kMr];
-  __m512 acc_odd[kMr];
-  for (int ii = 0; ii < kMr; ++ii) {
-    acc_even[ii] = _mm512_setzero_ps();
-    acc_odd[ii] = _mm512_setzero_ps();
+
+// The kF32Nr-wide tile as 16-column slices, skipping the slices past `cols`.
+__attribute__((target("avx2,fma"))) void MicroKernelAvx2(const float* a, int64_t lda,
+                                                         const float* bp, int64_t kc,
+                                                         float* c, int64_t ldc, int64_t rows,
+                                                         int64_t cols, bool load_c,
+                                                         const float* bias,
+                                                         const float* next_bp) {
+  using SliceFn = void (*)(const float*, int64_t, const float*, int64_t, float*, int64_t,
+                           int64_t, bool, const float*, const float*);
+  static constexpr SliceFn kByRows[kF32Mr] = {TileAvx2<1>, TileAvx2<2>, TileAvx2<3>,
+                                              TileAvx2<4>, TileAvx2<5>, TileAvx2<6>};
+  for (int64_t j = 0; j < cols; j += 16) {
+    kByRows[rows - 1](a, lda, bp + j, kc, c + j, ldc, std::min<int64_t>(16, cols - j),
+                      load_c, bias != nullptr ? bias + j : nullptr,
+                      next_bp != nullptr ? next_bp + j : nullptr);
   }
-  int64_t p = 0;
-  for (; p + 1 < k; p += 2) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kNr);
-    const __m512 b1 = _mm512_loadu_ps(bp + (p + 1) * kNr);
-    const float* a_col = ap + p * kMr;
-    for (int ii = 0; ii < kMr; ++ii) {
-      acc_even[ii] = _mm512_fmadd_ps(_mm512_set1_ps(a_col[ii]), b0, acc_even[ii]);
-      acc_odd[ii] = _mm512_fmadd_ps(_mm512_set1_ps(a_col[kMr + ii]), b1, acc_odd[ii]);
+}
+
+// R rows x kF32Nr columns: four zmm accumulators per row, masked at the
+// C/bias edge so a narrow last panel needs no spill tile.
+template <int R>
+__attribute__((target("avx512f"))) void TileAvx512(const float* a, int64_t lda,
+                                                   const float* bp, int64_t kc, float* c,
+                                                   int64_t ldc, int64_t cols, bool load_c,
+                                                   const float* bias, const float* next_bp) {
+  constexpr int kV = kF32Nr / 16;
+  __mmask16 mask[kV];
+#pragma GCC unroll 4
+  for (int v = 0; v < kV; ++v) {
+    const int64_t left = cols - 16 * v;
+    mask[v] = left >= 16 ? static_cast<__mmask16>(0xffff)
+              : left <= 0 ? static_cast<__mmask16>(0)
+                          : static_cast<__mmask16>((1u << left) - 1);
+  }
+  __m512 acc[R][kV];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) {
+      acc[r][v] = load_c ? _mm512_maskz_loadu_ps(mask[v], c + r * ldc + 16 * v)
+                         : _mm512_setzero_ps();
     }
   }
-  if (p < k) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kNr);
-    const float* a_col = ap + p * kMr;
-    for (int ii = 0; ii < kMr; ++ii) {
-      acc_even[ii] = _mm512_fmadd_ps(_mm512_set1_ps(a_col[ii]), b0, acc_even[ii]);
-    }
-  }
-  if (rows == kMr && cols == kNr) {
-    for (int ii = 0; ii < kMr; ++ii) {
-      float* dst = c + ii * ldc;
-      __m512 sum = _mm512_add_ps(acc_even[ii], acc_odd[ii]);
-      if (accumulate) {
-        sum = _mm512_add_ps(sum, _mm512_loadu_ps(dst));
+  for (int64_t p = 0; p < kc; ++p) {
+    if (next_bp != nullptr) {
+#pragma GCC unroll 4
+      for (int v = 0; v < kV; ++v) {
+        _mm_prefetch(reinterpret_cast<const char*>(next_bp + p * kF32Nr + 16 * v),
+                     _MM_HINT_T1);
       }
-      _mm512_storeu_ps(dst, sum);
     }
-    return;
+    __m512 b[kV];
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) {
+      b[v] = _mm512_loadu_ps(bp + p * kF32Nr + 16 * v);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 a_val = _mm512_set1_ps(a[r * lda + p]);
+#pragma GCC unroll 4
+      for (int v = 0; v < kV; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(a_val, b[v], acc[r][v]);
+      }
+    }
   }
-  float tile[kMr * kNr];
-  for (int ii = 0; ii < kMr; ++ii) {
-    _mm512_storeu_ps(tile + ii * kNr, _mm512_add_ps(acc_even[ii], acc_odd[ii]));
+  if (bias != nullptr) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) {
+      const __m512 bias_v = _mm512_maskz_loadu_ps(mask[v], bias + 16 * v);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        acc[r][v] = _mm512_add_ps(acc[r][v], bias_v);
+      }
+    }
   }
-  StorePartial(tile, c, ldc, rows, cols, accumulate);
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < kV; ++v) {
+      _mm512_mask_storeu_ps(c + r * ldc + 16 * v, mask[v], acc[r][v]);
+    }
+  }
+}
+
+__attribute__((target("avx512f"))) void MicroKernelAvx512(const float* a, int64_t lda,
+                                                          const float* bp, int64_t kc,
+                                                          float* c, int64_t ldc, int64_t rows,
+                                                          int64_t cols, bool load_c,
+                                                          const float* bias,
+                                                          const float* next_bp) {
+  using TileFn = void (*)(const float*, int64_t, const float*, int64_t, float*, int64_t,
+                          int64_t, bool, const float*, const float*);
+  static constexpr TileFn kByRows[kF32Mr] = {TileAvx512<1>, TileAvx512<2>, TileAvx512<3>,
+                                             TileAvx512<4>, TileAvx512<5>, TileAvx512<6>};
+  kByRows[rows - 1](a, lda, bp, kc, c, ldc, cols, load_c, bias, next_bp);
 }
 #endif  // BM_GEMM_X86
 
@@ -480,25 +557,9 @@ GemmDispatch& MutableDispatch() {
   return dispatch;
 }
 
-// Packs rows [row0, row0+rows) of A[m,k] into kMr-row panels: panel ir holds
-// A rows [row0 + ir*kMr, ...) k-major, zero-padded to kMr rows. `out` must
-// hold ceil(rows/kMr)*kMr*k floats.
-void PackA(const float* a, int64_t k, int64_t row0, int64_t rows, int64_t m, float* out) {
-  const int64_t panels = (rows + kMr - 1) / kMr;
-  for (int64_t ir = 0; ir < panels; ++ir) {
-    float* dst = out + ir * k * kMr;
-    const int64_t base = row0 + ir * kMr;
-    const int64_t valid = std::min<int64_t>(kMr, m - base);
-    for (int64_t p = 0; p < k; ++p) {
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        dst[p * kMr + ii] = ii < valid ? a[(base + ii) * k + p] : 0.0f;
-      }
-    }
-  }
-}
-
-// bf16 variant: k-pairs interleaved per row, padded slots bf16 zero. `out`
-// must hold ceil(rows/kMr)*ceil(k/2)*kMr*2 values.
+// Packs rows [row0, row0+rows) of A[m,k] into kMr-row bf16 panels: k-pairs
+// interleaved per row, padded slots bf16 zero. `out` must hold
+// ceil(rows/kMr)*ceil(k/2)*kMr*2 values.
 void PackABf16(const float* a, int64_t k, int64_t row0, int64_t rows, int64_t m,
                uint16_t* out) {
   const int64_t panels = (rows + kMr - 1) / kMr;
@@ -573,17 +634,9 @@ void PackAInt8(const float* a, int64_t k, int64_t row0, int64_t rows, int64_t m,
 
 // Per-thread packing scratch. Reused across calls; bounded by the largest
 // (rows x k) block packed on that thread.
-thread_local std::vector<float> tls_a_pack;
 thread_local std::vector<uint16_t> tls_bf16_pack;
 thread_local std::vector<uint8_t> tls_i8_pack;
 thread_local std::vector<float> tls_row_scales;
-
-float* APackScratch(int64_t floats) {
-  if (static_cast<int64_t>(tls_a_pack.size()) < floats) {
-    tls_a_pack.resize(static_cast<size_t>(floats));
-  }
-  return tls_a_pack.data();
-}
 
 uint16_t* Bf16PackScratch(int64_t elems) {
   if (static_cast<int64_t>(tls_bf16_pack.size()) < elems) {
@@ -606,28 +659,52 @@ float* RowScaleScratch(int64_t floats) {
   return tls_row_scales.data();
 }
 
-// Computes C rows [row0, row0+rows) against every panel of B, reading the
-// pre-packed A block `ap` (panels aligned to row0).
-void ComputeRowBlock(KernelFn kernel, const float* ap, const PackedMatrix& b, float* c,
-                     int64_t row0, int64_t rows, int64_t m, int64_t n, bool accumulate) {
-  const int64_t k = b.k();
-  const int64_t a_panels = (rows + kMr - 1) / kMr;
-  for (int64_t jp = 0; jp < b.num_panels(); ++jp) {
-    const float* bp = b.panel(jp);
-    const int64_t col0 = jp * kNr;
-    const int64_t cols = std::min<int64_t>(kNr, n - col0);
-    for (int64_t ir = 0; ir < a_panels; ++ir) {
-      const int64_t tile_row0 = row0 + ir * kMr;
-      const int64_t tile_rows = std::min<int64_t>(kMr, m - tile_row0);
-      kernel(ap + ir * k * kMr, bp, k, c + tile_row0 * n + col0, n, tile_rows, cols,
-             accumulate);
+// Computes the fp32 output block C[row0 : row0+rows, panel jp] over all of K:
+// K blocks of at most kKc, cut at the column-part boundaries, each swept by
+// every row tile while its B rows stay in L1. C itself carries the sum from
+// one K block to the next; the bias lands with the last block's store. The
+// packed B is one stream in (panel, K block) order, so each block's first
+// tile prefetches the block after it.
+void ComputeF32Block(KernelFn kernel, const GemmPart* parts, int num_parts,
+                     const PackedMatrix& b, float* c, int64_t row0, int64_t rows,
+                     int64_t jp, bool accumulate, const float* bias) {
+  const int64_t n = b.n();
+  const int64_t col0 = jp * kF32Nr;
+  const int64_t cols = std::min<int64_t>(kF32Nr, n - col0);
+  const float* panel = b.panel(jp);
+  const float* next_panel = jp + 1 < b.num_panels() ? b.panel(jp + 1) : nullptr;
+  int64_t part_k0 = 0;  // K offset of the current part's first column
+  for (int i = 0; i < num_parts; ++i) {
+    const GemmPart& part = parts[i];
+    for (int64_t p0 = 0; p0 < part.cols; p0 += kKc) {
+      const int64_t k0 = part_k0 + p0;
+      const int64_t kc = std::min<int64_t>(kKc, part.cols - p0);
+      const bool last = k0 + kc == b.k();
+      const float* block_bias = last && bias != nullptr ? bias + col0 : nullptr;
+      const float* next_bp = last ? next_panel : panel + (k0 + kc) * kF32Nr;
+      for (int64_t r = row0; r < row0 + rows; r += kF32Mr) {
+        kernel(part.data + r * part.ld + p0, part.ld, panel + k0 * kF32Nr, kc,
+               c + r * n + col0, n, std::min<int64_t>(kF32Mr, row0 + rows - r), cols,
+               accumulate || k0 > 0, block_bias, r == row0 ? next_bp : nullptr);
+      }
+    }
+    part_k0 += part.cols;
+  }
+}
+
+// Adds the row-broadcast bias to a just-stored output tile.
+void AddBiasTile(const float* bias, float* c, int64_t ldc, int64_t rows, int64_t cols) {
+  for (int64_t i = 0; i < rows; ++i) {
+    float* dst = c + i * ldc;
+    for (int64_t j = 0; j < cols; ++j) {
+      dst[j] += bias[j];
     }
   }
 }
 
 void ComputeRowBlockBf16(Bf16KernelFn kernel, const uint16_t* ap, const PackedMatrix& b,
-                         float* c, int64_t row0, int64_t rows, int64_t m, int64_t n,
-                         bool accumulate) {
+                         const float* bias, float* c, int64_t row0, int64_t rows, int64_t m,
+                         int64_t n, bool accumulate) {
   const int64_t groups = (b.k() + 1) / 2;
   const int64_t a_stride = groups * kMr * 2;
   const int64_t a_panels = (rows + kMr - 1) / kMr;
@@ -640,6 +717,9 @@ void ComputeRowBlockBf16(Bf16KernelFn kernel, const uint16_t* ap, const PackedMa
       const int64_t tile_rows = std::min<int64_t>(kMr, m - tile_row0);
       kernel(ap + ir * a_stride, bp, groups, c + tile_row0 * n + col0, n, tile_rows, cols,
              accumulate);
+      if (bias != nullptr) {
+        AddBiasTile(bias + col0, c + tile_row0 * n + col0, n, tile_rows, cols);
+      }
     }
   }
 }
@@ -670,49 +750,29 @@ void ComputeRowBlockInt8(Int8KernelFn kernel, int g, bool widen, const uint8_t* 
   }
 }
 
-void GemmPackedF32(const float* a, const PackedMatrix& b, float* c, int64_t m,
-                   bool accumulate, ThreadPool* pool) {
-  const int64_t k = b.k();
-  const int64_t n = b.n();
+// fp32 jobs are (kMc row block, panel) pairs: whole output tiles, each
+// owned by one thread, so pooled and serial runs agree bitwise.
+void GemmPackedF32(const GemmPart* parts, int num_parts, const PackedMatrix& b, float* c,
+                   int64_t m, bool accumulate, ThreadPool* pool, const float* bias) {
   const KernelFn kernel = MutableDispatch().f32;
-  const int64_t m_blocks = (m + kMc - 1) / kMc;
-  if (pool != nullptr && pool->num_threads() > 1 && m_blocks >= 2) {
-    // Tall A: each job owns a kMc row block — packs it and sweeps all of B.
-    pool->Run(m_blocks, [&](int64_t ib) {
-      const int64_t row0 = ib * kMc;
-      const int64_t rows = std::min<int64_t>(kMc, m - row0);
-      const int64_t panels = (rows + kMr - 1) / kMr;
-      float* ap = APackScratch(panels * kMr * k);
-      PackA(a, k, row0, rows, m, ap);
-      ComputeRowBlock(kernel, ap, b, c, row0, rows, m, n, accumulate);
-    });
+  const int64_t panels = b.num_panels();
+  const int64_t jobs = (m + kMc - 1) / kMc * panels;
+  const auto job = [&](int64_t j) {
+    const int64_t row0 = j / panels * kMc;
+    ComputeF32Block(kernel, parts, num_parts, b, c, row0, std::min<int64_t>(kMc, m - row0),
+                    j % panels, accumulate, bias);
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && jobs >= 2) {
+    pool->Run(jobs, job);
     return;
   }
-
-  // Short A (the batched-cell common case: m = batch): pack it whole once,
-  // then split across B's column panels. Both partitions assign whole
-  // output tiles to one thread, so the math per element never changes.
-  const int64_t a_panels = (m + kMr - 1) / kMr;
-  float* ap = APackScratch(a_panels * kMr * k);
-  PackA(a, k, /*row0=*/0, m, m, ap);
-  if (pool != nullptr && pool->num_threads() > 1 && b.num_panels() >= 2) {
-    pool->Run(b.num_panels(), [&](int64_t jp) {
-      const float* bp = b.panel(jp);
-      const int64_t col0 = jp * kNr;
-      const int64_t cols = std::min<int64_t>(kNr, n - col0);
-      for (int64_t ir = 0; ir < a_panels; ++ir) {
-        const int64_t row0 = ir * kMr;
-        const int64_t rows = std::min<int64_t>(kMr, m - row0);
-        kernel(ap + ir * k * kMr, bp, k, c + row0 * n + col0, n, rows, cols, accumulate);
-      }
-    });
-    return;
+  for (int64_t j = 0; j < jobs; ++j) {
+    job(j);
   }
-  ComputeRowBlock(kernel, ap, b, c, /*row0=*/0, m, m, n, accumulate);
 }
 
 void GemmPackedBf16(const float* a, const PackedMatrix& b, float* c, int64_t m,
-                    bool accumulate, ThreadPool* pool) {
+                    bool accumulate, ThreadPool* pool, const float* bias) {
   const int64_t k = b.k();
   const int64_t n = b.n();
   const Bf16KernelFn kernel = MutableDispatch().bf16;
@@ -725,7 +785,7 @@ void GemmPackedBf16(const float* a, const PackedMatrix& b, float* c, int64_t m,
       const int64_t panels = (rows + kMr - 1) / kMr;
       uint16_t* ap = Bf16PackScratch(panels * groups * kMr * 2);
       PackABf16(a, k, row0, rows, m, ap);
-      ComputeRowBlockBf16(kernel, ap, b, c, row0, rows, m, n, accumulate);
+      ComputeRowBlockBf16(kernel, ap, b, bias, c, row0, rows, m, n, accumulate);
     });
     return;
   }
@@ -744,11 +804,14 @@ void GemmPackedBf16(const float* a, const PackedMatrix& b, float* c, int64_t m,
         const int64_t rows = std::min<int64_t>(kMr, m - row0);
         kernel(ap + ir * a_stride, bp, groups, c + row0 * n + col0, n, rows, cols,
                accumulate);
+        if (bias != nullptr) {
+          AddBiasTile(bias + col0, c + row0 * n + col0, n, rows, cols);
+        }
       }
     });
     return;
   }
-  ComputeRowBlockBf16(kernel, ap, b, c, /*row0=*/0, m, m, n, accumulate);
+  ComputeRowBlockBf16(kernel, ap, b, bias, c, /*row0=*/0, m, m, n, accumulate);
 }
 
 void GemmPackedInt8(const float* a, const PackedMatrix& b, float* c, int64_t m,
@@ -810,6 +873,17 @@ void GemmPackedInt8(const float* a, const PackedMatrix& b, float* c, int64_t m,
                       accumulate);
 }
 
+// k == 0: no K blocks run, yet C = 0 (or C) plus the bias must still be
+// defined.
+void ZeroKProduct(float* c, int64_t m, int64_t n, bool accumulate, const float* bias) {
+  if (!accumulate) {
+    std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
+  }
+  if (bias != nullptr) {
+    AddBiasTile(bias, c, n, m, n);
+  }
+}
+
 }  // namespace
 
 const char* PrecisionName(Precision p) {
@@ -846,14 +920,15 @@ PackedMatrix PackedMatrix::Pack(const float* b, int64_t k, int64_t n) {
   PackedMatrix packed;
   packed.k_ = k;
   packed.n_ = n;
-  packed.num_panels_ = (n + kNr - 1) / kNr;
-  packed.data_.assign(static_cast<size_t>(packed.num_panels_ * k * kNr), 0.0f);
+  packed.num_panels_ = (n + kF32Nr - 1) / kF32Nr;
+  packed.data_.assign(static_cast<size_t>(packed.num_panels_ * k * kF32Nr), 0.0f);
   for (int64_t jp = 0; jp < packed.num_panels_; ++jp) {
-    float* dst = packed.data_.data() + jp * k * kNr;
-    const int64_t col0 = jp * kNr;
-    const int64_t cols = std::min<int64_t>(kNr, n - col0);
+    float* dst = packed.data_.data() + jp * k * kF32Nr;
+    const int64_t col0 = jp * kF32Nr;
+    const int64_t cols = std::min<int64_t>(kF32Nr, n - col0);
     for (int64_t p = 0; p < k; ++p) {
-      std::memcpy(dst + p * kNr, b + p * n + col0, static_cast<size_t>(cols) * sizeof(float));
+      std::memcpy(dst + p * kF32Nr, b + p * n + col0,
+                  static_cast<size_t>(cols) * sizeof(float));
     }
   }
   return packed;
@@ -968,11 +1043,15 @@ PackedMatrix PackedMatrix::PackInt8(const Tensor& b) {
   return PackInt8(b.f32(), b.shape().Dim(0), b.shape().Dim(1));
 }
 
+int64_t PackedMatrix::panel_width() const {
+  return precision_ == Precision::kF32 ? kF32Nr : kNr;
+}
+
 const float* PackedMatrix::panel(int64_t j) const {
   BM_CHECK(precision_ == Precision::kF32);
   BM_CHECK_GE(j, 0);
   BM_CHECK_LT(j, num_panels_);
-  return data_.data() + j * k_ * kNr;
+  return data_.data() + j * k_ * kF32Nr;
 }
 
 const uint16_t* PackedMatrix::panel_bf16(int64_t j) const {
@@ -993,40 +1072,47 @@ const int8_t* PackedMatrix::panel_int8(int64_t j) const {
 
 void GemmPacked(const float* a, const PackedMatrix& b, float* c, int64_t m,
                 bool accumulate, ThreadPool* pool, const float* bias) {
-  const int64_t k = b.k();
-  const int64_t n = b.n();
-  if (b.precision() != Precision::kInt8) {
-    BM_CHECK(bias == nullptr) << "bias fusion is supported on int8 packs only";
-  }
-  if (m <= 0 || n <= 0) {
+  if (m <= 0) {
     return;
   }
-  if (k == 0) {
-    // No k-panels: the beta=0 path must still define C.
-    if (!accumulate) {
-      std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
-    }
-    if (bias != nullptr) {
-      for (int64_t i = 0; i < m; ++i) {
-        float* dst = c + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-          dst[j] += bias[j];
-        }
-      }
-    }
+  if (b.k() == 0) {
+    ZeroKProduct(c, m, b.n(), accumulate, bias);
     return;
   }
   switch (b.precision()) {
-    case Precision::kF32:
-      GemmPackedF32(a, b, c, m, accumulate, pool);
+    case Precision::kF32: {
+      const GemmPart whole{a, b.k(), b.k()};
+      GemmPackedF32(&whole, 1, b, c, m, accumulate, pool, bias);
       return;
+    }
     case Precision::kBf16:
-      GemmPackedBf16(a, b, c, m, accumulate, pool);
+      GemmPackedBf16(a, b, c, m, accumulate, pool, bias);
       return;
     case Precision::kInt8:
       GemmPackedInt8(a, b, c, m, accumulate, pool, bias);
       return;
   }
+}
+
+void GemmPackedParts(const GemmPart* parts, int num_parts, const PackedMatrix& b, float* c,
+                     int64_t m, bool accumulate, ThreadPool* pool, const float* bias) {
+  BM_CHECK(b.precision() == Precision::kF32) << "split-K GEMM needs an fp32 pack";
+  int64_t k = 0;
+  for (int i = 0; i < num_parts; ++i) {
+    BM_CHECK(parts[i].cols >= 0 && parts[i].ld >= parts[i].cols)
+        << "GEMM part " << i << ": " << parts[i].cols << " columns, row stride " << parts[i].ld;
+    k += parts[i].cols;
+  }
+  BM_CHECK_EQ(k, b.k()) << "GEMM parts cover " << k << " columns of A, B has " << b.k()
+                        << " rows";
+  if (m <= 0) {
+    return;
+  }
+  if (k == 0) {
+    ZeroKProduct(c, m, b.n(), accumulate, bias);
+    return;
+  }
+  GemmPackedF32(parts, num_parts, b, c, m, accumulate, pool, bias);
 }
 
 void GemmRaw(const float* a, const float* b, float* c, int64_t m, int64_t k, int64_t n) {
@@ -1043,30 +1129,45 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor MatMulPacked(const Tensor& a, const PackedMatrix& b, ThreadPool* pool) {
-  BM_CHECK(a.dtype() == DType::kF32);
-  BM_CHECK_EQ(a.shape().Rank(), 2);
-  const int64_t m = a.shape().Dim(0);
-  const int64_t k = a.shape().Dim(1);
-  BM_CHECK_EQ(k, b.k()) << "MatMul inner dimension mismatch: " << a.shape().ToString()
-                        << " x [" << b.k() << "," << b.n() << "]";
-  Tensor c = Tensor::Uninitialized(Shape{m, b.n()});
-  GemmPacked(a.f32(), b, c.f32(), m, /*accumulate=*/false, pool);
-  return c;
+  return MatMulPackedParts({&a}, b, nullptr, pool);
 }
 
 Tensor MatMulPackedBias(const Tensor& a, const PackedMatrix& b, const Tensor& bias,
                         ThreadPool* pool) {
-  BM_CHECK(b.precision() == Precision::kInt8);
-  BM_CHECK(a.dtype() == DType::kF32);
-  BM_CHECK(bias.dtype() == DType::kF32);
-  BM_CHECK_EQ(a.shape().Rank(), 2);
-  BM_CHECK_EQ(bias.shape().NumElements(), b.n());
-  const int64_t m = a.shape().Dim(0);
-  const int64_t k = a.shape().Dim(1);
-  BM_CHECK_EQ(k, b.k()) << "MatMul inner dimension mismatch: " << a.shape().ToString()
-                        << " x [" << b.k() << "," << b.n() << "]";
+  return MatMulPackedParts({&a}, b, &bias, pool);
+}
+
+Tensor MatMulPackedParts(const std::vector<const Tensor*>& parts, const PackedMatrix& b,
+                         const Tensor* bias, ThreadPool* pool) {
+  BM_CHECK(!parts.empty());
+  BM_CHECK(parts.size() == 1 || b.precision() == Precision::kF32)
+      << "split-K GEMM needs an fp32 pack";
+  const int64_t m = parts[0]->shape().Dim(0);
+  std::vector<GemmPart> views;
+  views.reserve(parts.size());
+  int64_t k = 0;
+  for (const Tensor* part : parts) {
+    BM_CHECK(part->dtype() == DType::kF32);
+    BM_CHECK_EQ(part->shape().Rank(), 2);
+    BM_CHECK_EQ(part->shape().Dim(0), m);
+    const int64_t cols = part->shape().Dim(1);
+    views.push_back(GemmPart{part->f32(), cols, cols});
+    k += cols;
+  }
+  BM_CHECK_EQ(k, b.k()) << "MatMul inner dimension mismatch: [" << m << "," << k << "] x ["
+                        << b.k() << "," << b.n() << "]";
+  if (bias != nullptr) {
+    BM_CHECK(bias->dtype() == DType::kF32);
+    BM_CHECK_EQ(bias->shape().NumElements(), b.n());
+  }
   Tensor c = Tensor::Uninitialized(Shape{m, b.n()});
-  GemmPacked(a.f32(), b, c.f32(), m, /*accumulate=*/false, pool, bias.f32());
+  const float* bias_data = bias != nullptr ? bias->f32() : nullptr;
+  if (b.precision() == Precision::kF32) {
+    GemmPackedParts(views.data(), static_cast<int>(views.size()), b, c.f32(), m,
+                    /*accumulate=*/false, pool, bias_data);
+  } else {
+    GemmPacked(views[0].data, b, c.f32(), m, /*accumulate=*/false, pool, bias_data);
+  }
   return c;
 }
 

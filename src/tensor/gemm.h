@@ -1,20 +1,25 @@
-// GEMM for the CPU execution backend: packed-panel microkernel with runtime
+// GEMM for the CPU execution backend: packed-panel microkernels with runtime
 // SIMD dispatch and optional static-partition parallelism.
 //
 // The LSTM cell at hidden size h reduces to one [b, 2h] x [2h, 4h] matrix
 // multiplication per step (paper §2.2 footnote 2). With the vectorized
-// activations of activation.h, that GEMM takes ~80% of an fp32 step at
-// h=256, batch 53 and 90-97% at h=1024 (bench/fig03_cell_microbench's
-// `lstm_gemm` vs `lstm_step` rows); with libm activations it was ~40% at
-// h=256. The B operand (always a weight matrix in cell graphs) is
-// packed once into contiguous column panels — CellExecutor caches the packed
-// form per CellDef — and the inner kernel is an MR x NR register tile
-// (AVX2+FMA when the CPU supports it, selected at runtime; portable scalar
-// tile otherwise).
+// activations of activation.h, that GEMM takes ~82% of an fp32 step at
+// h=256, batch 53 (bench/fig03_cell_microbench's `lstm_gemm` vs `lstm_step`
+// rows; EXPERIMENTS.md "Serving-shape fp32 GEMM"). The B operand (always a
+// weight matrix in cell graphs) is packed once into contiguous column
+// panels — CellExecutor caches the packed form per CellDef.
+//
+// fp32: B panels are 64 columns wide on every tier. The AVX-512 kernel holds
+// a 6 x 64 register tile (24 zmm accumulators); the AVX2 kernel covers it as
+// four 6 x 16 tiles; the portable scalar kernel walks it row by row. K runs
+// in blocks of 128, so one B block stays in L1 while every row tile passes
+// over it, and A is read in place — as column parts, so a Concat feeding the
+// GEMM never has to be built (split-K) — with an optional bias added in the
+// store epilogue.
 //
 // Three kernel families share the dispatch seam, selected by how B was
 // packed (Precision tag on PackedMatrix):
-//   fp32 — the original path; unchanged math, unchanged bitwise results.
+//   fp32 — the reference precision, described above.
 //   bf16 — A and B truncated to bfloat16 (round-to-nearest-even), fp32
 //          accumulate. AVX-512 BF16 `_mm512_dpbf16_ps` when the CPU has it,
 //          otherwise a pure-C++ emulated-bf16 kernel so the precision is
@@ -28,10 +33,14 @@
 // Determinism contract: each C element is accumulated over k in one fixed
 // sequential order by exactly one thread, and the work partition assigns
 // whole output tiles to threads — so results are bitwise identical for any
-// ThreadPool size, including the serial path. The contract is *per kernel
-// within a precision*, never across precisions. Int8 is stronger: s32
-// accumulation is exact and the dequant epilogue is shared scalar code, so
-// all int8 kernels agree bitwise. See DESIGN.md "Low-precision execution".
+// ThreadPool size, including the serial path. That order is fixed by K and
+// the kernel alone, never by M or a row's position in A, so a row's result
+// does not depend on which other rows share its batch (row independence),
+// and at fp32 neither on how A is split into parts nor on whether the bias
+// is fused. The contract is *per kernel within a precision*, never across
+// precisions. Int8 is stronger: s32 accumulation is exact and the dequant
+// epilogue is shared scalar code, so all int8 kernels agree bitwise. See
+// DESIGN.md "Determinism contract" and "Low-precision execution".
 
 #ifndef SRC_TENSOR_GEMM_H_
 #define SRC_TENSOR_GEMM_H_
@@ -60,9 +69,10 @@ const char* PrecisionName(Precision p);
 // Parses the names above; returns false (out untouched) on anything else.
 bool ParsePrecision(const std::string& text, Precision* out);
 
-// B[k,n] repacked into column panels of the kernel's NR width, k-major
-// within a panel, zero-padded to full width. Packing is cheap (one pass
-// over B) but the win is doing it once per weight instead of per call.
+// B[k,n] repacked into column panels of panel_width() columns (64 for
+// fp32, 16 for bf16/int8), k-major within a panel, zero-padded to full
+// width. Packing is cheap (one pass over B) but the win is doing it once per
+// weight instead of per call.
 //
 // Low-precision packs additionally quantize:
 //  - PackBf16 stores bf16 values in k-pair-interleaved panels (the
@@ -90,12 +100,15 @@ class PackedMatrix {
   int64_t k() const { return k_; }
   int64_t n() const { return n_; }
   int64_t num_panels() const { return num_panels_; }
-  // Panel j: k() x NR floats, row (k) major. fp32 packs only.
+  // Columns per panel, padding included.
+  int64_t panel_width() const;
+  // Panel j: k() x panel_width() floats, row (k) major. fp32 packs only.
   const float* panel(int64_t j) const;
-  // Panel j: ceil(k/2) x NR x 2 bf16 values (k-pair interleaved per column).
+  // Panel j: ceil(k/2) x panel_width() x 2 bf16 values (k-pair interleaved
+  // per column).
   const uint16_t* panel_bf16(int64_t j) const;
-  // Panel j: ceil(k/g) x NR x g s8 values (k-group interleaved per column),
-  // g = int8_kgroup().
+  // Panel j: ceil(k/g) x panel_width() x g s8 values (k-group interleaved
+  // per column), g = int8_kgroup().
   const int8_t* panel_int8(int64_t j) const;
 
   // Int8 metadata; valid only when precision() == kInt8.
@@ -117,15 +130,31 @@ class PackedMatrix {
 };
 
 // C[m,n] = A[m,k] * B (accumulate=false; C need not be initialized — the
-// first k-panel writes directly, no separate zero pass) or C += A * B
-// (accumulate=true). Parallelizes over output tiles when `pool` is non-null
-// and the shape warrants it. A is always fp32; it is converted/quantized on
-// the fly into per-thread packing scratch according to b.precision().
-// `bias` (length n, nullable) is fused into the int8 dequant epilogue and
-// must be null for fp32/bf16 packs.
+// first K block writes directly, no separate zero pass) or C += A * B
+// (accumulate=true), then + bias (length n, nullable) in the store
+// epilogue. Parallelizes over output tiles when `pool` is non-null and the
+// shape warrants it. A is always fp32: read in place by the fp32 kernels,
+// converted/quantized on the fly into per-thread packing scratch for bf16
+// and int8 packs.
 void GemmPacked(const float* a, const PackedMatrix& b, float* c, int64_t m,
                 bool accumulate, ThreadPool* pool = nullptr,
                 const float* bias = nullptr);
+
+// One column block of a GEMM's left operand, read in place: `cols` columns,
+// row i starting at data + i * ld (ld >= cols).
+struct GemmPart {
+  const float* data;
+  int64_t ld;
+  int64_t cols;
+};
+
+// GemmPacked with A given as column parts, left to right; their widths must
+// sum to b.k(). fp32 packs only (split-K: the parts' K ranges run one after
+// another into the same accumulators). The result is bitwise identical to
+// GemmPacked on the parts' concatenation.
+void GemmPackedParts(const GemmPart* parts, int num_parts, const PackedMatrix& b, float* c,
+                     int64_t m, bool accumulate, ThreadPool* pool = nullptr,
+                     const float* bias = nullptr);
 
 // Raw-pointer forms packing B on the fly; strides equal row widths.
 // C[m,n] = A[m,k] * B[k,n].
@@ -138,10 +167,15 @@ void GemmAccumulateRaw(const float* a, const float* b, float* c, int64_t m, int6
 // dimensions; the packed form avoids re-packing the weight per call.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulPacked(const Tensor& a, const PackedMatrix& b, ThreadPool* pool = nullptr);
-// Int8 packs only: fuses the row-broadcast bias add (length b.n()) into the
-// dequant epilogue. Bitwise identical to MatMulPacked followed by AddBias.
+// Any precision: adds the row-broadcast bias (length b.n()) in the store
+// epilogue. Bitwise identical to MatMulPacked followed by AddBias.
 Tensor MatMulPackedBias(const Tensor& a, const PackedMatrix& b, const Tensor& bias,
                         ThreadPool* pool = nullptr);
+// MatMulPacked(ConcatCols(parts)) (+ bias when non-null) without building
+// the concatenation. More than one part needs an fp32 pack. Bitwise
+// identical to the concat-then-MatMulPacked(Bias) sequence.
+Tensor MatMulPackedParts(const std::vector<const Tensor*>& parts, const PackedMatrix& b,
+                         const Tensor* bias = nullptr, ThreadPool* pool = nullptr);
 
 // True if the runtime-dispatched kernel uses the SIMD path on this CPU
 // (diagnostics / benchmark labeling).

@@ -3,6 +3,7 @@
 
 #include "src/tensor/gemm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/tensor/ops.h"
 #include "src/util/thread_pool.h"
 
 namespace batchmaker {
@@ -182,9 +184,12 @@ TEST(GemmTest, PackTensorMatchesPackPointer) {
   const PackedMatrix from_ptr = PackedMatrix::Pack(b.data(), k, n);
   ASSERT_EQ(from_tensor.num_panels(), from_ptr.num_panels());
   ASSERT_EQ(from_tensor.k(), from_ptr.k());
+  ASSERT_EQ(from_tensor.panel_width(), from_ptr.panel_width());
+  ASSERT_GE(from_tensor.panel_width() * from_tensor.num_panels(), n);
+  const size_t panel_bytes =
+      sizeof(float) * static_cast<size_t>(from_tensor.panel_width() * k);
   for (int64_t j = 0; j < from_tensor.num_panels(); ++j) {
-    EXPECT_EQ(0, std::memcmp(from_tensor.panel(j), from_ptr.panel(j),
-                             sizeof(float) * 16 * static_cast<size_t>(k)));
+    EXPECT_EQ(0, std::memcmp(from_tensor.panel(j), from_ptr.panel(j), panel_bytes));
   }
 }
 
@@ -513,34 +518,117 @@ TEST(GemmLowPrecisionTest, PrecisionNamesRoundTrip) {
   EXPECT_FALSE(ParsePrecision("fp16", &unused));
 }
 
-// Fused-bias epilogue: same math as MatMulPacked followed by a row
-// broadcast add, to within one rounding of the final add.
-TEST(GemmLowPrecisionTest, Int8FusedBiasMatchesSeparateAdd) {
-  const int64_t m = 13, k = 40, n = 37;
+// Bias epilogue: at every precision, bitwise identical to MatMulPacked
+// followed by AddBias, serial or pooled.
+TEST(GemmLowPrecisionTest, FusedBiasMatchesSeparateAddAtEveryPrecision) {
+  const int64_t m = 13, k = 140, n = 77;
   const auto a = RandomMatrix(m, k, 2400);
   const auto b = RandomMatrix(k, n, 2401);
   const auto bias = RandomMatrix(1, n, 2402);
-  const PackedMatrix packed = PackedMatrix::PackInt8(b.data(), k, n);
   Tensor at = Tensor::FromVector(Shape{m, k}, a);
   Tensor bias_t = Tensor::FromVector(Shape{n}, bias);
-
-  const Tensor fused = MatMulPackedBias(at, packed, bias_t);
-  const Tensor unfused = MatMulPacked(at, packed);
-  std::vector<float> want(static_cast<size_t>(m * n));
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      want[static_cast<size_t>(i * n + j)] =
-          unfused.f32()[i * n + j] + bias[static_cast<size_t>(j)];
+  ThreadPool pool4(4);
+  for (Precision p : {Precision::kF32, Precision::kBf16, Precision::kInt8}) {
+    SCOPED_TRACE(PrecisionName(p));
+    const PackedMatrix packed = p == Precision::kF32    ? PackedMatrix::Pack(b.data(), k, n)
+                                : p == Precision::kBf16 ? PackedMatrix::PackBf16(b.data(), k, n)
+                                                        : PackedMatrix::PackInt8(b.data(), k, n);
+    const Tensor want = AddBias(MatMulPacked(at, packed), bias_t);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
+      const Tensor fused = MatMulPackedBias(at, packed, bias_t, pool);
+      EXPECT_EQ(0, std::memcmp(fused.f32(), want.f32(),
+                               static_cast<size_t>(m * n) * sizeof(float)))
+          << (pool != nullptr ? "pooled" : "serial");
     }
   }
-  std::vector<float> got(fused.f32(), fused.f32() + m * n);
-  ExpectClose(got, want);
+}
 
-  // And the fused path itself is bitwise repeatable, serial vs pool.
-  ThreadPool pool4(4);
-  const Tensor fused_pool = MatMulPackedBias(at, packed, bias_t, &pool4);
-  EXPECT_EQ(0, std::memcmp(fused.f32(), fused_pool.f32(),
-                           static_cast<size_t>(m * n) * sizeof(float)));
+// Row independence: a row's result depends on K and the kernel alone, not
+// on how many rows share its batch or where in A it sits. servebench's
+// bitwise check against SyncEngine and determinism_test rely on it, since
+// the two engines batch a request's row with different neighbours. Each row
+// is computed inside batches m = 1..70 (rotated, so it lands at many
+// positions) and must match the same row computed alone, for whole and
+// split-K A, with and without the bias epilogue, on every fp32 tier. The
+// split-K and fused-bias forms must also match the plain GEMM bitwise.
+TEST(GemmTest, RowsAreIndependentOfBatchAndPosition) {
+  TierGuard guard;
+  // K = 300 spans three K blocks whole and three more, cut elsewhere, as
+  // parts [44 | 256]; N = 150 ends in a narrow panel.
+  const int64_t kx = 44, kh = 256, k = kx + kh, n = 150, max_m = 70;
+  const auto a = RandomMatrix(max_m, k, 3100);
+  const auto b = RandomMatrix(k, n, 3101);
+  const auto bias = RandomMatrix(1, n, 3102);
+  // A batch of m rows whose position p holds row (p + m) % max_m of A.
+  auto batch = [&](int64_t m) {
+    std::vector<float> rows(static_cast<size_t>(m * k));
+    for (int64_t p = 0; p < m; ++p) {
+      std::copy_n(a.begin() + (p + m) % max_m * k, k, rows.begin() + p * k);
+    }
+    return rows;
+  };
+  for (const char* tier : {"scalar", "avx2", "avx512", "native"}) {
+    GemmForceTierForTest(tier);
+    const PackedMatrix packed = PackedMatrix::Pack(b.data(), k, n);
+    std::vector<float> plain_rows;  // whole A, no bias: the split/fused reference
+    for (const bool split : {false, true}) {
+      for (const bool with_bias : {false, true}) {
+        SCOPED_TRACE(testing::Message() << tier << (split ? " split-K" : " whole")
+                                        << (with_bias ? " +bias" : ""));
+        // C for the [m, k] rows; split-K reads them as two parts with their
+        // own buffers and row strides, as the executor does with a Concat.
+        auto compute = [&](const std::vector<float>& rows, int64_t m) {
+          std::vector<float> c(static_cast<size_t>(m * n), -7.0f);
+          const float* bias_ptr = with_bias ? bias.data() : nullptr;
+          if (!split) {
+            GemmPacked(rows.data(), packed, c.data(), m, /*accumulate=*/false, nullptr,
+                       bias_ptr);
+            return c;
+          }
+          std::vector<float> x(static_cast<size_t>(m * kx));
+          std::vector<float> h(static_cast<size_t>(m * kh));
+          for (int64_t i = 0; i < m; ++i) {
+            std::copy_n(rows.begin() + i * k, kx, x.begin() + i * kx);
+            std::copy_n(rows.begin() + i * k + kx, kh, h.begin() + i * kh);
+          }
+          const GemmPart parts[] = {{x.data(), kx, kx}, {h.data(), kh, kh}};
+          GemmPackedParts(parts, 2, packed, c.data(), m, /*accumulate=*/false, nullptr,
+                          bias_ptr);
+          return c;
+        };
+        std::vector<float> alone(static_cast<size_t>(max_m * n));
+        for (int64_t r = 0; r < max_m; ++r) {
+          const auto c = compute(std::vector<float>(a.begin() + r * k, a.begin() + r * k + k), 1);
+          std::copy(c.begin(), c.end(), alone.begin() + r * n);
+        }
+        int mismatches = 0;
+        for (int64_t m = 1; m <= max_m; ++m) {
+          const auto c = compute(batch(m), m);
+          for (int64_t p = 0; p < m; ++p) {
+            const int64_t row = (p + m) % max_m;
+            if (std::memcmp(c.data() + p * n, alone.data() + row * n, n * sizeof(float)) != 0 &&
+                mismatches++ == 0) {
+              ADD_FAILURE() << "row " << row << " at position " << p << " of a batch of " << m
+                            << " differs from the row computed alone";
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0);
+        if (!split && !with_bias) {
+          plain_rows = alone;
+          continue;
+        }
+        std::vector<float> want = plain_rows;
+        for (int64_t r = 0; r < max_m && with_bias; ++r) {
+          for (int64_t j = 0; j < n; ++j) {
+            want[static_cast<size_t>(r * n + j)] += bias[static_cast<size_t>(j)];
+          }
+        }
+        EXPECT_EQ(0, std::memcmp(alone.data(), want.data(), want.size() * sizeof(float)))
+            << "differs from the plain GEMM" << (with_bias ? " plus a separate bias add" : "");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -19,8 +19,9 @@
 #                 (mirrors the ci.yml chaos job)
 #   --kernel-tiers  additionally compile gemm.cc and activation.cc
 #                 standalone with explicit ISA flags and with none, then
-#                 run gemm_test, precision_test and activation_test under
-#                 every BM_GEMM_KERNEL cap (mirrors the ci.yml kernel-tiers
+#                 run gemm_test, precision_test, activation_test, nn_test,
+#                 nn_models_test and determinism_test under every
+#                 BM_GEMM_KERNEL cap (mirrors the ci.yml kernel-tiers
 #                 job's matrix)
 set -euo pipefail
 
@@ -194,7 +195,8 @@ if [[ "$run_tiers" == 1 ]]; then
   g++ -std=c++17 -O2 -I. -c src/tensor/activation.cc -o build-check/activation_no_isa.o
   for cap in scalar avx2 avx512 avx512_bf16 avx512_vnni; do
     echo "--> BM_GEMM_KERNEL=$cap"
-    for t in gemm_test precision_test activation_test; do
+    for t in gemm_test precision_test activation_test nn_test nn_models_test \
+        determinism_test; do
       BM_GEMM_KERNEL="$cap" "build-check/tests/$t" --gtest_brief=1
     done
   done
