@@ -11,12 +11,9 @@
 // depends on cheap migration.
 //
 // Part 2 (real compute): A/B sweep of ServerOptions::numa_policy
-// {none, pin, pin+replicate} on this host, closed-loop so the worker-side
-// memory system — not arrival pacing — bounds throughput. Writes
-// BENCH_numa.json; the pin+replicate-vs-none tasks_per_sec ratio is gated
-// by tools/compare_bench.py --assert-ratio ... --min-nodes 2 (loudly
-// skipped on single-node hosts, where the policies are near-identical by
-// construction).
+// {none, pin} on this host, closed-loop so the worker-side memory system —
+// not arrival pacing — bounds throughput. Writes BENCH_numa.json, whose
+// p50 rows tools/compare_bench.py compares against the baseline.
 
 #include <cstring>
 #include <string>
@@ -143,8 +140,7 @@ void NumaSweep(const std::string& out_path, int requests) {
               "shards", "nodes", "pinned", "p50(ms)", "tasks/sec", "xnode-steal",
               "remote-bytes");
   std::vector<NumaRow> rows;
-  for (const NumaPolicy policy :
-       {NumaPolicy::kNone, NumaPolicy::kPin, NumaPolicy::kPinReplicate}) {
+  for (const NumaPolicy policy : {NumaPolicy::kNone, NumaPolicy::kPin}) {
     const NumaRow row = NumaPoint(policy, workers, shards, requests);
     std::printf("%14s %7d %7d %6d %7d %10.2f %14.0f %12lld %14lld\n",
                 row.policy.c_str(), row.workers, row.shards, row.nodes,
@@ -154,9 +150,8 @@ void NumaSweep(const std::string& out_path, int requests) {
     rows.push_back(row);
   }
   WriteNumaJson(out_path, rows);
-  std::printf("expected: on a multi-socket host pin keeps gathers node-local and\n"
-              "pin+replicate additionally reads weight panels from the local\n"
-              "socket; on a single-node host all three policies coincide.\n");
+  std::printf("expected: on a multi-socket host pin keeps gathers node-local;\n"
+              "on a single-node host both policies coincide.\n");
 }
 
 void MigrationPenaltySweep() {

@@ -211,8 +211,7 @@ struct BenchRecord {
 };
 
 // Host topology header for BENCH_*.json files: records where a run was
-// produced so tools/compare_bench.py can gate NUMA-sensitive comparisons
-// (--min-nodes) and refuse to compare numbers from mismatched machines.
+// produced, so a reader can tell numbers from mismatched machines apart.
 inline Json TopologyJson() {
   const Topology topo = DiscoverTopology();
   JsonObject header;

@@ -15,21 +15,9 @@
 // Rows go to BENCH_overload.json for CI regression tracking
 // (tools/compare_bench.py).
 //
-// --slack switches to the SLA-aware batch formation sweep instead
-// (DESIGN.md "SLA-aware batch formation"): at 1.5x and 2x overload, every
-// request carries a fixed p99 SLA and shedding is on in both arms; the
-// slack-off arm is the greedy scheduler, the slack-on arm defers
-// sub-efficient batches within request slack. The metric that matters is
-// goodput at the SLA — completed requests that also made their deadline —
-// which the slack arm must hold at least as high as greedy with a shed
-// rate no higher (the perf-smoke ratio gates in tools/check.sh). Rows go
-// to BENCH_slack.json.
-//
-// Usage: fig_overload [--smoke] [--slack] [--out PATH]
+// Usage: fig_overload [--smoke] [--out PATH]
 //   --smoke  short runs at the overload points only (the CI job)
-//   --slack  run the slack-on/off goodput-at-SLA sweep instead
-//   --out    where to write the JSON rows (default BENCH_overload.json,
-//            BENCH_slack.json with --slack)
+//   --out    where to write the JSON rows (default BENCH_overload.json)
 
 #include <cstring>
 #include <thread>
@@ -199,154 +187,6 @@ std::vector<OverloadRow> Sweep(const std::vector<double>& load_factors,
   return rows;
 }
 
-// --- SLA-aware batch formation sweep (--slack) ------------------------------
-
-constexpr double kSlaMicros = 25000.0;  // fixed end-to-end p99 SLA
-
-struct SlackRow {
-  double load = 0.0;  // offered load as a multiple of calibrated capacity
-  bool slack = false;
-  double offered_rps = 0.0;
-  double goodput_sla_rps = 0.0;  // completed AND within the SLA, per second
-  double p99_ms = 0.0;
-  double shed_rate = 0.0;  // shed / submitted
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t within_sla = 0;
-  int64_t shed = 0;
-  int64_t delayed_batches = 0;
-};
-
-void WriteSlackJson(const std::string& path, const std::vector<SlackRow>& rows) {
-  JsonArray out;
-  for (const SlackRow& r : rows) {
-    JsonObject row;
-    row["load"] = r.load;
-    row["slack"] = static_cast<int64_t>(r.slack ? 1 : 0);
-    row["sla_ms"] = kSlaMicros / 1e3;
-    row["offered_rps"] = r.offered_rps;
-    row["goodput_sla_rps"] = r.goodput_sla_rps;
-    row["p99_ms"] = r.p99_ms;
-    row["shed_rate"] = r.shed_rate;
-    // Higher-is-better complement of shed_rate, so check.sh can gate
-    // "slack sheds no more than greedy" as an --assert-ratio.
-    row["served_rate"] = 1.0 - r.shed_rate;
-    row["submitted"] = r.submitted;
-    row["completed"] = r.completed;
-    row["within_sla"] = r.within_sla;
-    row["shed"] = r.shed;
-    row["delayed_batches"] = r.delayed_batches;
-    out.emplace_back(std::move(row));
-  }
-  JsonObject doc;
-  doc["bench"] = "fig_overload_slack";
-  doc["topology"] = bench::TopologyJson();
-  doc["results"] = Json(std::move(out));
-  std::ofstream file(path);
-  file << Json(std::move(doc)).Dump(2) << "\n";
-  std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
-}
-
-ServerOptions MakeSlackOptions(bool slack) {
-  // Both arms shed at the SLA (an overloaded server without shedding has
-  // unbounded queues and no meaningful goodput-at-SLA); only the batch
-  // formation policy differs.
-  ServerOptions options;
-  options.num_workers = 1;
-  options.threads_per_worker = 1;
-  options.pipeline_depth = 2;
-  options.admission.queue_timeout_micros = kSlaMicros;
-  options.batch_policy.slack_batching = slack;
-  options.batch_policy.max_delay_micros = 2000.0;
-  return options;
-}
-
-SlackRow RunSlackPoint(LstmModel& model, CellRegistry& registry, double factor,
-                       double rate, bool slack, double duration_s) {
-  Server server(&registry, MakeSlackOptions(slack));
-  server.Start();
-
-  // Same seed in both arms: the slack-on/off comparison replays the
-  // identical arrival sequence, so the within-run ratio gates in
-  // tools/check.sh measure the policy, not Poisson jitter.
-  Rng rng(static_cast<uint64_t>(rate));
-  const WmtLengthSampler sampler;
-  const int total = static_cast<int>(rate * duration_s);
-  const auto start = std::chrono::steady_clock::now();
-  double next_arrival_s = 0.0;
-  for (int i = 0; i < total; ++i) {
-    next_arrival_s += rng.NextExponential(rate);
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(next_arrival_s)));
-    const int len = std::min(kMaxLen, sampler.Sample(&rng));
-    std::vector<Tensor> externals;
-    for (int t = 0; t < len; ++t) {
-      externals.push_back(Tensor::RandomUniform(Shape{1, kHidden}, 1.0f, &rng));
-    }
-    externals.push_back(ExternalZeroVecTensor(kHidden));
-    externals.push_back(ExternalZeroVecTensor(kHidden));
-    server.Submit(model.Unfold(len), std::move(externals), {ValueRef::Output(len - 1, 0)},
-                  [](RequestId, RequestStatus, std::vector<Tensor>) {},
-                  SubmitOptions{.deadline_micros = kSlaMicros});
-  }
-  server.Shutdown();
-
-  const SampleSet lat = server.metrics().Latencies();
-  const auto& records = server.metrics().records();
-  SlackRow row;
-  row.load = factor;
-  row.slack = slack;
-  row.offered_rps = rate;
-  row.submitted = total;
-  row.completed = static_cast<int64_t>(server.metrics().NumCompleted());
-  row.shed = static_cast<int64_t>(server.metrics().NumDropped());
-  row.shed_rate = total > 0 ? static_cast<double>(row.shed) / total : 0.0;
-  row.delayed_batches = server.metrics().TotalDelayedBatches();
-  if (!records.empty()) {
-    for (const RequestRecord& r : records) {
-      if (r.completion_micros - r.arrival_micros <= kSlaMicros) {
-        ++row.within_sla;
-      }
-    }
-    const double span_s =
-        (records.back().completion_micros - records.front().arrival_micros) / 1e6;
-    row.goodput_sla_rps = span_s > 0 ? static_cast<double>(row.within_sla) / span_s : 0.0;
-    row.p99_ms = lat.Percentile(99) / 1e3;
-  }
-  return row;
-}
-
-std::vector<SlackRow> SlackSweep(const std::vector<double>& load_factors,
-                                 double duration_s) {
-  CellRegistry registry;
-  Rng weight_rng(1);
-  LstmModel model(&registry, LstmSpec{.input_dim = kHidden, .hidden = kHidden},
-                  &weight_rng);
-  const double capacity = CalibrateCapacityRps(model, registry);
-  bench::PrintHeader("SLA-aware batch formation: goodput at a fixed " +
-                     std::to_string(static_cast<int>(kSlaMicros / 1e3)) +
-                     "ms p99 SLA under overload");
-  std::printf("calibrated burst capacity: %.0f req/s\n", capacity);
-  std::printf("%6s %12s %6s %16s %10s %10s %10s %8s\n", "load", "offered(r/s)",
-              "slack", "goodput@SLA(r/s)", "p99(ms)", "shed rate", "delayed",
-              "done");
-  std::vector<SlackRow> rows;
-  for (const double factor : load_factors) {
-    for (const bool slack : {false, true}) {
-      SlackRow row = RunSlackPoint(model, registry, factor, factor * capacity,
-                                   slack, duration_s);
-      std::printf("%5.2fx %12.0f %6s %16.0f %10.2f %9.1f%% %10lld %8lld\n", factor,
-                  row.offered_rps, slack ? "on" : "off", row.goodput_sla_rps,
-                  row.p99_ms, 100.0 * row.shed_rate,
-                  static_cast<long long>(row.delayed_batches),
-                  static_cast<long long>(row.completed));
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
 }  // namespace
 }  // namespace batchmaker
 
@@ -354,31 +194,13 @@ int main(int argc, char** argv) {
   using namespace batchmaker;
 
   bool smoke = false;
-  bool slack = false;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--slack") == 0) {
-      slack = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     }
-  }
-
-  if (slack) {
-    if (out_path.empty()) {
-      out_path = "BENCH_slack.json";
-    }
-    // Both arms at both overload points even in smoke: the perf gate is a
-    // within-run ratio (slack on >= greedy at fixed SLA), so it needs all
-    // four rows. The smoke run is longer than the plain overload smoke —
-    // within-SLA counts are a small fraction of completions under
-    // overload, and the ratio gate needs them out of the noise.
-    const std::vector<double> factors = {1.5, 2.0};
-    const double duration_s = smoke ? 0.8 : 2.0;
-    WriteSlackJson(out_path, SlackSweep(factors, duration_s));
-    return 0;
   }
 
   if (out_path.empty()) {

@@ -108,11 +108,6 @@ struct EngineOptions {
   // costs batching.
   int pipeline_depth = 2;
   SchedulerOptions scheduler;
-  // SLA-aware batch formation (DESIGN.md): slack-driven delay/launch of
-  // batches against per-request deadlines, fed by an online-calibrated
-  // cost model on the Server and by the exact cost model in SimEngine.
-  // Off by default — the greedy Algorithm 1 policy, byte-for-byte.
-  BatchPolicyOptions batch_policy;
   // Records structured events (src/obs/) for every request/task; export
   // with WriteChromeTrace(engine.trace(), path). Off by default: the
   // disabled recorder costs one relaxed atomic load per would-be event.
@@ -129,10 +124,9 @@ struct EngineOptions {
   // the simulator has no threads to place). kNone (default) skips topology
   // discovery entirely and is bitwise-identical to the pre-NUMA server.
   // kPin pins each worker's exec thread (and its intra-task pool) to one
-  // node and aligns shard boundaries with node boundaries; kPinReplicate
-  // additionally materializes node-local replicas of the pre-packed weight
-  // panels. Pinning is best-effort: a node excluded by taskset/cgroups
-  // leaves its workers unpinned but fully functional.
+  // node and aligns shard boundaries with node boundaries. Pinning is
+  // best-effort: a node excluded by taskset/cgroups leaves its workers
+  // unpinned but fully functional.
   NumaPolicy numa_policy = NumaPolicy::kNone;
   // Test seam: alternate sysfs root for topology discovery (fake trees in
   // tests/testdata). Empty = the real "/sys".
@@ -149,8 +143,7 @@ struct SubmitOptions {
   // negative disables shedding for this request entirely. Kept distinct
   // from the engine-wide admission.queue_timeout_micros (an overload
   // backstop, not an SLA): shedding fires on whichever of the two is
-  // tighter, and slack-aware batch formation reasons about this deadline
-  // only. Ignored by SyncEngine (it has no queueing clock).
+  // tighter. Ignored by SyncEngine (it has no queueing clock).
   double deadline_micros = 0.0;
   // Early termination declared up front (e.g. the decoder node after which
   // nothing else is needed): once this node completes, every

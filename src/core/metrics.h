@@ -36,11 +36,6 @@ struct ShardCounters {
   std::atomic<int64_t> completions{0};  // terminal callbacks fired here
   std::atomic<int64_t> steals_in{0};    // requests this shard stole/received
   std::atomic<int64_t> steals_out{0};   // requests migrated away from here
-  // Slack-aware batch formation (DESIGN.md): batches this shard launched
-  // after at least one deliberate deferral, and the total micros those
-  // batches spent deferred.
-  std::atomic<int64_t> delayed_batches{0};
-  std::atomic<int64_t> batch_delay_micros{0};
 };
 
 // Per-NUMA-node activity counters (numa_policy != none, DESIGN.md
@@ -105,8 +100,6 @@ class MetricsCollector {
       shard->completions.store(0, std::memory_order_relaxed);
       shard->steals_in.store(0, std::memory_order_relaxed);
       shard->steals_out.store(0, std::memory_order_relaxed);
-      shard->delayed_batches.store(0, std::memory_order_relaxed);
-      shard->batch_delay_micros.store(0, std::memory_order_relaxed);
     }
     for (auto& node : node_counters_) {
       node->cross_node_steals.store(0, std::memory_order_relaxed);
@@ -144,24 +137,6 @@ class MetricsCollector {
     }
     return total;
   }
-  // Slack-aware batch formation: deliberately delayed batch launches and
-  // the total micros they waited (sums across shards; 0 with the policy
-  // off).
-  int64_t TotalDelayedBatches() const {
-    int64_t total = 0;
-    for (const auto& shard : shard_counters_) {
-      total += shard->delayed_batches.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  int64_t TotalBatchDelayMicros() const {
-    int64_t total = 0;
-    for (const auto& shard : shard_counters_) {
-      total += shard->batch_delay_micros.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
   // ---- Per-node counters (NUMA-aware placement) ----
 
   // Sizes the per-node counter table; called once by the Server before any

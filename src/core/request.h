@@ -184,11 +184,6 @@ struct NodeState {
   // co-batched entry; bounded by Scheduler's retry limit so a
   // deterministically faulting task cannot requeue forever.
   int retries = 0;
-  // Longest path (in cells, this node inclusive) to any sink of the cell
-  // graph: the number of sequential steps still ahead once this node is
-  // ready. Computed lazily by the scheduler when slack-aware batch
-  // formation is on (DESIGN.md "SLA-aware batch formation"); 0 until then.
-  int height = 0;
 };
 
 // The immutable part of request processing for one cell-graph structure
@@ -340,8 +335,7 @@ struct RequestState {
 
   // Per-request SLA deadline (SubmitOptions::deadline_micros), micros
   // after arrival; 0 = none, negative disables shedding for this request.
-  // This is the end-to-end target the slack-aware batch formation reasons
-  // about. Kept distinct from the engine-wide queue timeout below: a
+  // Kept distinct from the engine-wide queue timeout below: a
   // queue-timeout is an overload-control backstop, not an SLA.
   double deadline_micros = 0.0;
   // Engine-wide admission.queue_timeout_micros, stamped at admission so it
@@ -362,11 +356,6 @@ struct RequestState {
     }
     return deadline_micros > 0.0 ? deadline_micros : queue_timeout_micros;
   }
-
-  // True once the scheduler has computed NodeState::height for this
-  // request's nodes (done once, on first enqueue, only when slack-aware
-  // batch formation is enabled).
-  bool heights_computed = false;
 
   // SubmitOptions::priority: advisory importance, higher = more important.
   // Only consulted when picking cross-shard steal victims (lowest priority

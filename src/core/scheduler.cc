@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/runtime/cost_model.h"
 #include "src/util/logging.h"
 
 namespace batchmaker {
@@ -31,7 +30,7 @@ void Scheduler::EnqueueSubgraph(Subgraph* sg) {
   }
 }
 
-std::vector<BatchedTask> Scheduler::Schedule(int worker, double now_micros) {
+std::vector<BatchedTask> Scheduler::Schedule(int worker) {
   // Candidate cell types in criterion-major, priority-minor order:
   //   (a) a full batch is available;
   //   (b) ready work for a type with nothing running (avoids starving a
@@ -73,14 +72,8 @@ std::vector<BatchedTask> Scheduler::Schedule(int worker, double now_micros) {
   });
 
   for (const auto& [ct, criterion] : candidates) {
-    if (ShouldDelay(ct, types_[static_cast<size_t>(ct)], worker, now_micros)) {
-      // Slack-aware deferral: skip this type for now (it returns to the
-      // candidate pool on the next Schedule call; NextLaunchMicros bounds
-      // how long that can take) and fall through to the next candidate.
-      continue;
-    }
     std::vector<BatchedTask> out;
-    Batch(ct, worker, criterion, now_micros, &out);
+    Batch(ct, worker, criterion, &out);
     if (!out.empty()) {
       return out;
     }
@@ -88,144 +81,8 @@ std::vector<BatchedTask> Scheduler::Schedule(int worker, double now_micros) {
   return {};
 }
 
-bool Scheduler::ShouldDelay(CellTypeId type, TypeState& ts, int worker,
-                            double now_micros) {
-  if (!policy_.slack_batching || policy_.max_delay_micros <= 0.0 ||
-      cost_model_ == nullptr) {
-    return false;  // policy off: Algorithm 1's greedy behaviour, untouched
-  }
-  const CellTypeInfo& info = registry_->info(type);
-  // The batch this worker could form right now — same iteration order and
-  // cap as FormBatchedTask — plus, for every batch member with an SLA
-  // deadline, the (absolute deadline, remaining path length) pair feeding
-  // the slack computation.
-  int batch = 0;
-  std::vector<std::pair<double, int>> sla_nodes;  // (abs deadline, height)
-  for (Subgraph* sg : ts.queue) {
-    if (sg->pinned_worker != -1 && sg->pinned_worker != worker) {
-      continue;
-    }
-    if (sg->ready.empty()) {
-      continue;
-    }
-    RequestState* owner = sg->owner;
-    const bool has_sla = owner->deadline_micros > 0.0;
-    if (has_sla) {
-      EnsureHeights(owner);
-    }
-    for (int node : sg->ready) {
-      ++batch;
-      if (has_sla) {
-        sla_nodes.emplace_back(
-            owner->arrival_micros + owner->deadline_micros,
-            owner->nodes[static_cast<size_t>(node)].height);
-      }
-      if (batch == info.max_batch) {
-        break;
-      }
-    }
-    if (batch == info.max_batch) {
-      break;
-    }
-  }
-  if (batch == 0) {
-    return false;  // nothing formable for this worker; Batch() no-ops
-  }
-  if (batch >= info.max_batch) {
-    return false;  // full batch: launch (criterion (a) is never deferred)
-  }
-  // Waiting must grow the batch cheaply: defer only while the per-item
-  // cost at a doubled batch is at least min_efficiency_gain lower, i.e.
-  // the cost curve is still sub-linear here. Past the knee, a bigger
-  // batch buys nothing — launch.
-  const int grown = std::min(2 * batch, info.max_batch);
-  const double per_item_now = cost_model_->TaskMicros(type, batch) / batch;
-  const double per_item_grown = cost_model_->TaskMicros(type, grown) / grown;
-  if (per_item_grown > per_item_now * (1.0 - policy_.min_efficiency_gain)) {
-    return false;
-  }
-  // Tightest deadline-driven launch instant: each SLA node must start its
-  // remaining critical path (height steps, costed at this batch size) by
-  // deadline − height·step. Nodes without an SLA never force a launch.
-  const double step_micros = cost_model_->TaskMicros(type, batch);
-  double launch_at = std::numeric_limits<double>::infinity();
-  for (const auto& [abs_deadline, height] : sla_nodes) {
-    launch_at = std::min(launch_at, abs_deadline - height * step_micros);
-  }
-  if (launch_at <= now_micros) {
-    return false;  // the tightest deadline demands launching now
-  }
-  // Starvation bound: max_delay_micros past the *first* deferral, the type
-  // launches regardless of slack.
-  const double since = ts.deferred_since >= 0.0 ? ts.deferred_since : now_micros;
-  const double budget_end = since + policy_.max_delay_micros;
-  if (now_micros >= budget_end) {
-    return false;
-  }
-  if (ts.deferred_since < 0.0) {
-    ts.deferred_since = now_micros;
-  }
-  ts.wake_at = std::min(budget_end, launch_at);
-  return true;
-}
-
-void Scheduler::EnsureHeights(RequestState* state) const {
-  if (state->heights_computed) {
-    return;
-  }
-  state->heights_computed = true;
-  // Longest path to a sink, in cells, this node inclusive. Cell-graph
-  // nodes only reference earlier nodes, so a descending-id sweep sees
-  // every consumer before its producers.
-  const CellGraph& graph = state->graph;
-  const int n = graph.NumNodes();
-  for (int id = 0; id < n; ++id) {
-    state->nodes[static_cast<size_t>(id)].height = 1;
-  }
-  for (int id = n - 1; id >= 0; --id) {
-    const int h = state->nodes[static_cast<size_t>(id)].height;
-    for (const ValueRef& ref : graph.node(id).inputs) {
-      if (ref.is_external()) {
-        continue;
-      }
-      NodeState& producer = state->nodes[static_cast<size_t>(ref.node)];
-      producer.height = std::max(producer.height, h + 1);
-    }
-  }
-}
-
-double Scheduler::NextLaunchMicros() const {
-  double next = std::numeric_limits<double>::infinity();
-  for (const TypeState& ts : types_) {
-    if (ts.deferred_since >= 0.0 && ts.ready_nodes > 0) {
-      next = std::min(next, ts.wake_at);
-    }
-  }
-  return next;
-}
-
-void Scheduler::ExpireLaunchHints(double now_micros) {
-  for (TypeState& ts : types_) {
-    if (ts.deferred_since >= 0.0 && ts.wake_at <= now_micros) {
-      // The hinted instant passed without a launch (nodes pinned to busy
-      // workers, or every worker at its watermark). Stop waking for it;
-      // the deferral stays, so the next feasible Schedule launches
-      // immediately — the starvation bound is enforced by ShouldDelay,
-      // not by this hint.
-      ts.wake_at = std::numeric_limits<double>::infinity();
-    }
-  }
-}
-
-void Scheduler::MaybeClearDeferral(TypeState& ts) {
-  if (ts.ready_nodes == 0) {
-    ts.deferred_since = -1.0;
-    ts.wake_at = std::numeric_limits<double>::infinity();
-  }
-}
-
 void Scheduler::Batch(CellTypeId type, int worker, SchedCriterion criterion,
-                      double now_micros, std::vector<BatchedTask>* out) {
+                      std::vector<BatchedTask>* out) {
   TypeState& ts = types_[static_cast<size_t>(type)];
   const CellTypeInfo& info = registry_->info(type);
   int num_tasks = 0;
@@ -239,18 +96,6 @@ void Scheduler::Batch(CellTypeId type, int worker, SchedCriterion criterion,
     // only if they meet the minimum batch size.
     if (task.BatchSize() < info.min_batch && num_tasks > 0) {
       break;
-    }
-
-    if (num_tasks == 0 && ts.deferred_since >= 0.0) {
-      // A deferred type is launching: account the delay it accrued.
-      const double delay = std::max(0.0, now_micros - ts.deferred_since);
-      ++delayed_launches_;
-      total_delay_micros_ += delay;
-      if (trace_ != nullptr) {
-        trace_->BatchDelayed(type, worker, delay, task.BatchSize());
-      }
-      ts.deferred_since = -1.0;
-      ts.wake_at = std::numeric_limits<double>::infinity();
     }
 
     task.id = next_task_id_;
@@ -363,7 +208,6 @@ void Scheduler::ParkSubgraph(Subgraph* sg) {
     BM_CHECK_GE(ts.ready_nodes, 0);
     ts.queue.erase(sg->queue_pos);
     sg->in_queue = false;
-    MaybeClearDeferral(ts);
   }
   sg->parked = true;
 }
@@ -530,7 +374,6 @@ int Scheduler::CancelRequest(RequestId id) {
     if (sg->in_queue) {
       RemoveFromQueueIfDone(&ts, sg);
     }
-    MaybeClearDeferral(ts);
   }
   if (trace_ != nullptr && total_cancelled > 0) {
     trace_->Cancellation(id, total_cancelled);
@@ -557,7 +400,6 @@ void Scheduler::DetachRequest(RequestState* state) {
     BM_CHECK_GE(ts.ready_nodes, 0);
     ts.queue.erase(sg->queue_pos);
     sg->in_queue = false;
-    MaybeClearDeferral(ts);
   }
 }
 

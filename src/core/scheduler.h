@@ -16,7 +16,6 @@
 #define SRC_CORE_SCHEDULER_H_
 
 #include <functional>
-#include <limits>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -28,29 +27,6 @@
 #include "src/runtime/task.h"
 
 namespace batchmaker {
-
-class CostModel;
-
-// SLA-aware batch formation (DESIGN.md "SLA-aware batch formation"): when
-// enabled, Schedule(worker, now) may *delay* a candidate cell type whose
-// tightest per-node slack (deadline − now − estimated remaining
-// critical-path cost from the cost model) comfortably covers waiting for a
-// bigger batch, and *launch early* when the tightest deadline demands it.
-// Engines embed this in EngineOptions::batch_policy.
-struct BatchPolicyOptions {
-  // Master switch. Off (the default) reproduces Algorithm 1's greedy
-  // policy byte-for-byte — the new code paths are never entered.
-  bool slack_batching = false;
-  // Starvation bound: a cell type may be deferred at most this long past
-  // its first deferral before it launches regardless of slack. 0 also
-  // reproduces the greedy policy byte-for-byte even with slack_batching
-  // set.
-  double max_delay_micros = 2000.0;
-  // Waiting must grow the batch cheaply: defer only while doubling the
-  // formable batch improves per-item cost by at least this fraction
-  // (i.e. the cost curve is still in its sub-linear region).
-  double min_efficiency_gain = 0.05;
-};
 
 struct SchedulerOptions {
   // Algorithm 1's MaxTasksToSubmit: how many tasks one Schedule() call may
@@ -79,13 +55,8 @@ class Scheduler {
   // a type whose ready nodes are all pinned to other workers is skipped in
   // favour of the next candidate, so an empty result means this worker has
   // no compatible ready work at all (the invariant HasCompatibleReadyWork
-  // documents and the regression tests assert) — unless slack-aware batch
-  // formation (set_batch_policy) chose to *delay* a type, in which case
-  // NextLaunchMicros() reports when the engine must call Schedule again.
-  // `now_micros` is the engine's current time (virtual or real); it is
-  // only consulted by the slack policy and may be 0 when the policy is
-  // off.
-  std::vector<BatchedTask> Schedule(int worker, double now_micros = 0.0);
+  // documents and the regression tests assert).
+  std::vector<BatchedTask> Schedule(int worker);
 
   // Must be called when a task finishes: updates pins and per-type running
   // counts, then propagates completion through the RequestProcessor (which
@@ -147,34 +118,6 @@ class Scheduler {
   // the scheduler (engines own both).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
-  // ---- SLA-aware batch formation (DESIGN.md) ----
-
-  // Cost model feeding the slack policy (and nothing else): per-type
-  // batch→micros estimates for the delay/launch decision and the
-  // remaining-critical-path term of per-node slack. Must outlive the
-  // scheduler; null (the default) disables the policy regardless of
-  // set_batch_policy.
-  void set_cost_model(const CostModel* cost_model) { cost_model_ = cost_model; }
-  void set_batch_policy(const BatchPolicyOptions& policy) { policy_ = policy; }
-
-  // Earliest instant at which a currently-deferred cell type must be
-  // offered to Schedule again (its starvation budget ends or its tightest
-  // deadline-driven launch instant arrives), +inf when nothing is
-  // deferred. Engines wake their scheduling loop no later than this.
-  double NextLaunchMicros() const;
-
-  // Silences launch hints that have passed without a launch (their nodes
-  // were pinned to busy workers or every worker was at its watermark), so
-  // an engine's timed wait does not spin on a hint it cannot act on. The
-  // deferral itself stays recorded: the next Schedule call that can form
-  // the batch launches it immediately (budget exhausted ⇒ greedy).
-  void ExpireLaunchHints(double now_micros);
-
-  // Batches that launched after at least one deferral, and the total
-  // micros they spent deferred (BatchDelayMicros counter).
-  int64_t TotalDelayedLaunches() const { return delayed_launches_; }
-  double TotalBatchDelayMicros() const { return total_delay_micros_; }
-
   // Introspection (tests, metrics).
   int NumReadyNodes(CellTypeId type) const;
   int NumRunningTasks(CellTypeId type) const;
@@ -201,30 +144,12 @@ class Scheduler {
     std::list<Subgraph*> queue;
     int ready_nodes = 0;
     int running_tasks = 0;
-    // Slack policy state: when this type was first deferred (-1 = not
-    // deferred) and the instant by which it must launch (min of the
-    // starvation-budget end and the tightest deadline-driven launch
-    // instant). Reset whenever a batch of this type forms or its ready
-    // set drains.
-    double deferred_since = -1.0;
-    double wake_at = std::numeric_limits<double>::infinity();
   };
 
   // Algorithm 1, Batch(ct, worker). Appends formed tasks to `out`;
   // `criterion` is recorded with each task's formation event.
-  void Batch(CellTypeId type, int worker, SchedCriterion criterion, double now_micros,
+  void Batch(CellTypeId type, int worker, SchedCriterion criterion,
              std::vector<BatchedTask>* out);
-
-  // The slack policy's delay/launch decision for one candidate type
-  // (DESIGN.md "SLA-aware batch formation"). True = defer the type this
-  // round (deferral state and wake hint updated); false = let Batch() run.
-  bool ShouldDelay(CellTypeId type, TypeState& ts, int worker, double now_micros);
-
-  // Computes NodeState::height (longest remaining path, in cells) for all
-  // of `state`'s nodes, once per request, lazily on first use.
-  void EnsureHeights(RequestState* state) const;
-
-  void MaybeClearDeferral(TypeState& ts);
 
   // Algorithm 1, FormBatchedTask(ct, worker): gathers ready nodes from
   // subgraphs pinned to {None, worker}, up to the type's max batch. Each
@@ -246,15 +171,11 @@ class Scheduler {
   SchedulerOptions options_;
   UnparkHook unpark_hook_;
   TraceRecorder* trace_ = nullptr;
-  const CostModel* cost_model_ = nullptr;
-  BatchPolicyOptions policy_;
   std::vector<TypeState> types_;
   uint64_t next_task_id_ = 0;
   uint64_t task_id_stride_ = 1;
   int64_t tasks_formed_ = 0;
   int64_t total_migrations_ = 0;
-  int64_t delayed_launches_ = 0;
-  double total_delay_micros_ = 0.0;
   // Subgraphs touched by each in-flight task, for unpinning on completion.
   std::unordered_map<uint64_t, std::vector<Subgraph*>> inflight_subgraphs_;
   // Schedule / Batch scratch, reused across calls.

@@ -231,16 +231,11 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   }
   metrics_.InitShards(num_shards_);
 
-  // Slack-aware batch formation (DESIGN.md): an online cost model —
-  // seeded with the static Figure-3 anchors, continuously re-fitted from
-  // measured exec spans — feeds every shard
-  // scheduler's delay/launch decision. The health watchdog prices its
-  // hang thresholds from the same model, so it is created for either
-  // feature (the scheduler only consults it under slack_on_).
-  slack_on_ = options_.batch_policy.slack_batching &&
-              options_.batch_policy.max_delay_micros > 0.0;
+  // The health watchdog prices its hang thresholds from an online cost
+  // model: seeded with the static Figure-3 anchors, continuously re-fitted
+  // from measured exec spans (DESIGN.md "Worker failure domains").
   health_on_ = options_.health.health_watchdog;
-  if (slack_on_ || health_on_) {
+  if (health_on_) {
     online_cost_model_ = std::make_unique<OnlineCostModel>();
     // Key the calibrated curves by precision: exec spans measured at int8
     // must never re-fit the fp32 curve (or vice versa).
@@ -283,7 +278,6 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   // policy off, nothing is discovered and the proportional boundaries below
   // are computed exactly as before.
   numa_on_ = options_.numa_policy != NumaPolicy::kNone;
-  numa_replicate_ = options_.numa_policy == NumaPolicy::kPinReplicate;
   worker_node_.assign(static_cast<size_t>(num_workers), -1);
   worker_pinned_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<size_t>(num_workers));
@@ -323,10 +317,6 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
     config.pipeline_depth = options_.pipeline_depth;
     config.queue_timeout_micros = options_.admission.queue_timeout_micros;
     config.scheduler = options_.scheduler;
-    if (slack_on_) {
-      config.slack_cost_model = online_cost_model_.get();
-      config.batch_policy = options_.batch_policy;
-    }
     if (numa_on_) {
       config.shard_node = shard_node_;
     }
@@ -649,18 +639,6 @@ void Server::Shutdown() {
       t.join();
     }
   }
-  // Fold the schedulers' delayed-launch totals into the per-shard metrics
-  // now that their manager threads have stopped (exactly once: a second
-  // Shutdown call returns at the exchange above).
-  for (auto& shard : shards_) {
-    const Scheduler& scheduler = shard->core->scheduler();
-    ShardCounters& counters = metrics_.shard(shard->core->id());
-    counters.delayed_batches.fetch_add(scheduler.TotalDelayedLaunches(),
-                                       std::memory_order_relaxed);
-    counters.batch_delay_micros.fetch_add(
-        static_cast<int64_t>(scheduler.TotalBatchDelayMicros()),
-        std::memory_order_relaxed);
-  }
 }
 
 size_t Server::PendingDeadlines() const {
@@ -711,9 +689,8 @@ std::vector<WorkerHealthSnapshot> Server::HealthReport() const {
 void Server::ManagerLoop(Shard& shard) {
   ShardCore& core = *shard.core;
   for (;;) {
-    // A shedding deadline or deferred launch bounds the wait, so a queued
-    // request is shed — and a deferred batch launched — on time even with
-    // no messages in flight.
+    // A shedding deadline bounds the wait, so a queued request is shed on
+    // time even with no messages in flight.
     const double wake = core.NextWakeMicros();
     std::optional<ManagerMsg> msg;
     if (wake == std::numeric_limits<double>::infinity()) {
@@ -1014,18 +991,15 @@ void Server::ExecLoop(int worker, double idle_since) {
     // pages land on this node, so gathers write locally.
     pipe.staging->Prefault(size_t{1} << 20);
   }
-  // This worker's execution resources — intra-task pool, scratch arena,
-  // NUMA weight replicas — live inside its device queue, constructed here
-  // on the pinned thread so backend allocations inherit the affinity and
-  // first-touch placement. Destroying the queue (normal exit, chaos exit)
-  // releases the replicas, so a respawned thread re-acquires them by
-  // re-creating it.
+  // This worker's execution resources — intra-task pool and scratch
+  // arena — live inside its device queue, constructed here on the pinned
+  // thread so backend allocations inherit the affinity and first-touch
+  // placement. A respawned thread re-creates them with a fresh queue.
   DeviceQueueOptions qopts;
   qopts.worker = worker;
   qopts.threads = options_.threads_per_worker;
   qopts.thread_name_prefix = "pool/" + std::to_string(worker) + "-";
   qopts.numa_node = my_node;
-  qopts.replicate_weights = numa_replicate_ && my_node >= 0;
   std::unique_ptr<DeviceQueue> queue = backend_->CreateQueue(qopts);
   BM_CHECK(queue != nullptr);
   auto& tasks = *task_queues_[static_cast<size_t>(worker)];

@@ -222,11 +222,9 @@ class Server {
   const DeviceBackend* device() const { return backend_.get(); }
   const DeviceCaps& device_caps() const { return caps_; }
 
-  // The online-calibrated cost model feeding slack-aware batch formation
-  // and the health watchdog's hang thresholds; null unless
-  // batch_policy.slack_batching or health.health_watchdog is set. (The
-  // scheduler consults it only under slack_batching, so enabling the
-  // watchdog alone changes no scheduling decision.)
+  // The online-calibrated cost model pricing the health watchdog's hang
+  // thresholds; null unless health.health_watchdog is set. No scheduling
+  // decision reads it.
   const OnlineCostModel* online_cost_model() const {
     return online_cost_model_.get();
   }
@@ -359,12 +357,11 @@ class Server {
   std::vector<int> shard_of_worker_;
 
   // ---- NUMA placement state (constructor-computed, then read-only) ----
-  // Both flags derive from options_.numa_policy; every placement-related
-  // branch below gates on them so the kNone path stays byte-for-byte
+  // numa_on_ derives from options_.numa_policy; every placement-related
+  // branch below gates on it so the kNone path stays byte-for-byte
   // identical to the pre-NUMA server.
-  bool numa_on_ = false;         // policy != kNone
-  bool numa_replicate_ = false;  // policy == kPinReplicate
-  Topology topology_;            // discovered only when numa_on_
+  bool numa_on_ = false;          // policy != kNone
+  Topology topology_;             // discovered only when numa_on_
   std::vector<int> worker_node_;  // worker -> node index; -1 when off
   std::vector<int> shard_node_;   // shard -> node of its workers; -1 when off
   // Pin outcome per worker's exec thread, written once at thread start.
@@ -372,15 +369,8 @@ class Server {
 
   MetricsCollector metrics_;
   FaultInjector fault_injector_;
-  // Slack-aware batch formation: true iff batch_policy enables it with a
-  // nonzero starvation budget. Gates every clock read and wake-hint
-  // computation the policy adds, so the off path stays byte-for-byte
-  // identical to the greedy server.
-  bool slack_on_ = false;
-  // Online-calibrated cost model (created when slack_on_ or health_on_):
-  // workers feed it measured exec spans; shard schedulers query it for the
-  // delay/launch decision (slack only) and the watchdog for hang
-  // thresholds (health only).
+  // Online-calibrated cost model (created when health_on_): workers feed
+  // it measured exec spans; the watchdog queries it for hang thresholds.
   std::unique_ptr<OnlineCostModel> online_cost_model_;
 
   // ---- Worker failure-domain state (DESIGN.md "Worker failure domains") ----

@@ -16,8 +16,7 @@ ShardCore::ShardCore(const CellRegistry* registry, ShardConfig config, Driver dr
     : config_(std::move(config)),
       driver_(std::move(driver)),
       metrics_(metrics),
-      trace_(trace),
-      slack_on_(config_.slack_cost_model != nullptr) {
+      trace_(trace) {
   BM_CHECK(driver_.now != nullptr);
   BM_CHECK(metrics_ != nullptr);
   BM_CHECK(trace_ != nullptr);
@@ -33,10 +32,6 @@ ShardCore::ShardCore(const CellRegistry* registry, ShardConfig config, Driver dr
       /*on_request_complete=*/[this](RequestState* state) { OnRequestComplete(state); });
   scheduler_ = std::make_unique<Scheduler>(registry, processor_.get(), config_.scheduler);
   scheduler_->set_trace(trace_);
-  if (slack_on_) {
-    scheduler_->set_cost_model(config_.slack_cost_model);
-    scheduler_->set_batch_policy(config_.batch_policy);
-  }
   // Task ids partition across shards (seed s, stride S) so trace and
   // fault-injection ids stay globally unique without coordination; with
   // one shard this is the identity numbering.
@@ -261,32 +256,12 @@ void ShardCore::Pass() {
   }
 }
 
-void ShardCore::Wake() {
-  ExpireDeadlines(driver_.now());
-  if (slack_on_) {
-    Refill();
-    scheduler_->ExpireLaunchHints(driver_.now());
-  }
-}
+void ShardCore::Wake() { ExpireDeadlines(driver_.now()); }
 
 double ShardCore::NextWakeMicros() {
   PruneDeadlines();
-  double wake = std::numeric_limits<double>::infinity();
-  if (!deadlines_.empty()) {
-    wake = deadlines_.top().first;
-  }
-  if (slack_on_) {
-    // A deferred-launch hint is only actionable when some owned worker has
-    // stream room; a hint that passes unactioned is expired by Wake() so a
-    // driver cannot spin on it.
-    for (const int in_flight : outstanding_) {
-      if (in_flight < config_.pipeline_depth) {
-        wake = std::min(wake, scheduler_->NextLaunchMicros());
-        break;
-      }
-    }
-  }
-  return wake;
+  return deadlines_.empty() ? std::numeric_limits<double>::infinity()
+                            : deadlines_.top().first;
 }
 
 void ShardCore::TrySchedule(int worker) {
@@ -294,10 +269,7 @@ void ShardCore::TrySchedule(int worker) {
   if (quarantined_[local] != 0) {
     return;  // the stream stops refilling until the watchdog re-admits
   }
-  // The clock read only feeds the slack policy; skip it (and pass the
-  // ignored 0) on the greedy path.
-  std::vector<BatchedTask> tasks =
-      scheduler_->Schedule(worker, slack_on_ ? driver_.now() : 0.0);
+  std::vector<BatchedTask> tasks = scheduler_->Schedule(worker);
   if (tasks.empty()) {
     return;
   }

@@ -46,8 +46,6 @@
 
 namespace batchmaker {
 
-class CostModel;
-
 // The predicate SubmitOptions::terminate_after_node declares: true once
 // `node` completes.
 TerminationFn TerminateAfterNode(int node);
@@ -91,10 +89,6 @@ struct ShardConfig {
   // AdmissionOptions::queue_timeout_micros, stamped on every arrival.
   double queue_timeout_micros = 0.0;
   SchedulerOptions scheduler;
-  // Cost model for slack-aware batch formation; null keeps Algorithm 1's
-  // greedy policy (and every clock read the slack policy adds) off.
-  const CostModel* slack_cost_model = nullptr;
-  BatchPolicyOptions batch_policy;
   // NUMA node of each shard's workers, indexed by shard; empty with
   // placement off. Orders forced donations (same node first) and feeds the
   // cross-node steal counter.
@@ -143,11 +137,10 @@ class ShardCore {
   // After a burst of messages: shed expired requests, refill every worker
   // below the watermark, then donate surplus and report hunger.
   void Pass();
-  // When NextWakeMicros() passed with no message: shed expired requests;
-  // under slack batching also refill and silence passed launch hints.
+  // When NextWakeMicros() passed with no message: shed expired requests.
   void Wake();
-  // The next shedding deadline or actionable deferred-launch hint, +inf if
-  // none. Discards dead deadline-heap tops first.
+  // The next shedding deadline, +inf if none. Discards dead deadline-heap
+  // tops first.
   double NextWakeMicros();
 
   // Tasks formed since the driver last cleared this, in stream order per
@@ -188,7 +181,6 @@ class ShardCore {
   Driver driver_;
   MetricsCollector* metrics_;
   TraceRecorder* trace_;
-  bool slack_on_ = false;
   std::unique_ptr<RequestProcessor> processor_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<BatchedTask> formed_;

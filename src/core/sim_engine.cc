@@ -32,8 +32,6 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
   BM_CHECK_GT(options.num_workers, 0);
   BM_CHECK_GT(options.num_shards, 0);
   num_shards_ = std::min(options.num_shards, options.num_workers);
-  const bool slack_on = options.batch_policy.slack_batching &&
-                        options.batch_policy.max_delay_micros > 0.0;
   if (options.enable_tracing) {
     trace_.Enable();
   }
@@ -49,13 +47,6 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
     config.pipeline_depth = options.pipeline_depth;
     config.queue_timeout_micros = options.admission.queue_timeout_micros;
     config.scheduler = options.scheduler;
-    if (slack_on) {
-      // The simulator's device model *is* the cost model, so the policy
-      // sees exact costs — no online calibration needed (or wanted: the
-      // virtual-time paths must never observe anything but the model).
-      config.slack_cost_model = cost_model;
-      config.batch_policy = options.batch_policy;
-    }
     for (int w = config.worker_begin; w < config.worker_end; ++w) {
       shard_of_worker_[static_cast<size_t>(w)] = s;
     }
@@ -151,8 +142,8 @@ void SimEngine::Settle(int shard) {
   }
   timer.at = wake;
   const uint64_t generation = ++timer.generation;
-  // A passed wake (a launch hint that expired while every stream was full)
-  // fires at the current instant, as the Server's zero-length wait does.
+  // A deadline already passed fires at the current instant, as the
+  // Server's zero-length wait does.
   events_.ScheduleAt(std::max(wake, events_.Now()), [this, shard, generation] {
     WakeTimer& armed = wakes_[static_cast<size_t>(shard)];
     if (armed.generation != generation) {

@@ -9,6 +9,41 @@
 
 namespace batchmaker {
 
+namespace {
+
+// For the stall check: each active request's nodes that never became ready
+// and its ready-but-unscheduled nodes (the first 8 of each).
+std::string StallDiagnostic(RequestProcessor& processor) {
+  std::ostringstream out;
+  for (const RequestId id : processor.ActiveRequestIds()) {
+    const RequestState* state = processor.FindRequest(id);
+    std::ostringstream pending;
+    std::ostringstream ready;
+    int num_pending = 0;
+    int num_ready = 0;
+    for (size_t n = 0; n < state->nodes.size(); ++n) {
+      const NodeStage stage = state->nodes[n].stage;
+      if (stage == NodeStage::kPending) {
+        if (num_pending++ < 8) {
+          pending << (num_pending > 1 ? " " : "") << n;
+        }
+      } else if (stage == NodeStage::kReady || stage == NodeStage::kScheduled) {
+        if (num_ready++ < 8) {
+          ready << (num_ready > 1 ? " " : "") << n;
+        }
+      }
+    }
+    out << " request " << id << " has " << num_pending
+        << " node(s) that never became ready [" << pending.str()
+        << (num_pending > 8 ? " ..." : "") << "] and " << num_ready
+        << " ready-but-unscheduled node(s) [" << ready.str()
+        << (num_ready > 8 ? " ..." : "") << "];";
+  }
+  return out.str();
+}
+
+}  // namespace
+
 SyncEngine::SyncEngine(const CellRegistry* registry, SchedulerOptions options)
     : registry_(registry),
       trace_([this] { return NowMicros(); }),
@@ -42,12 +77,6 @@ SyncEngine::SyncEngine(const CellRegistry* registry, SchedulerOptions options)
       });
   scheduler_ = std::make_unique<Scheduler>(registry, processor_.get(), options);
   scheduler_->set_trace(&trace_);
-}
-
-void SyncEngine::set_batch_policy(const BatchPolicyOptions& policy,
-                                  const CostModel* cost_model) {
-  scheduler_->set_cost_model(cost_model);
-  scheduler_->set_batch_policy(policy);
 }
 
 double SyncEngine::NowMicros() const {
@@ -85,9 +114,11 @@ void SyncEngine::RunToCompletion() {
   for (;;) {
     std::vector<BatchedTask> tasks = scheduler_->Schedule(/*worker=*/0);
     if (tasks.empty()) {
-      if (processor_->NumActiveRequests() > 0) {
-        FailStalledRequests();
-      }
+      // Algorithm 1 forms a task whenever worker 0 has a ready node, and
+      // nothing here pins work to another worker: a round with no task
+      // while requests remain active is a broken invariant.
+      BM_CHECK_EQ(processor_->NumActiveRequests(), 0u)
+          << "scheduler stalled:" << StallDiagnostic(*processor_);
       return;
     }
     for (BatchedTask& task : tasks) {
@@ -118,49 +149,6 @@ void SyncEngine::RunToCompletion() {
       }
     }
   }
-}
-
-void SyncEngine::FailStalledRequests() {
-  // The scheduler produced no work while requests are still active — a
-  // partitioner/scheduler invariant is broken, or a configuration combines
-  // badly with the synchronous clock (e.g. slack_batching defers forever at
-  // now=0, since virtual "now" never advances here). Aborting the process
-  // (the old behaviour) took every healthy co-resident request down with
-  // it; instead, fail each stuck request with a diagnostic of the nodes
-  // that never became ready and let the caller observe kFailed.
-  const std::vector<RequestId> stuck = processor_->ActiveRequestIds();
-  for (const RequestId id : stuck) {
-    RequestState* state = processor_->FindRequest(id);
-    if (state == nullptr) {
-      continue;  // finalized by a prior iteration's cancellation
-    }
-    std::ostringstream pending;
-    std::ostringstream ready;
-    int num_pending = 0;
-    int num_ready = 0;
-    for (size_t n = 0; n < state->nodes.size(); ++n) {
-      const NodeStage stage = state->nodes[n].stage;
-      if (stage == NodeStage::kPending) {
-        if (num_pending++ < 8) {
-          pending << (num_pending > 1 ? " " : "") << n;
-        }
-      } else if (stage == NodeStage::kReady || stage == NodeStage::kScheduled) {
-        if (num_ready++ < 8) {
-          ready << (num_ready > 1 ? " " : "") << n;
-        }
-      }
-    }
-    BM_LOG(Warning) << "scheduler stalled: request " << id << " has "
-                    << num_pending << " node(s) that never became ready ["
-                    << pending.str() << (num_pending > 8 ? " ..." : "") << "] and "
-                    << num_ready << " ready-but-unscheduled node(s) ["
-                    << ready.str() << (num_ready > 8 ? " ..." : "")
-                    << "]; failing the request";
-    state->MarkTerminal(RequestStatus::kFailed);
-    scheduler_->CancelRequest(id);
-  }
-  BM_CHECK_EQ(processor_->NumActiveRequests(), 0u)
-      << "scheduler stalled and cancellation could not finalize all requests";
 }
 
 Response SyncEngine::TakeResponse(RequestId id) {

@@ -67,22 +67,8 @@ class SyncEngine {
   void set_precision(Precision precision) { precision_ = precision; }
   Precision precision() const { return precision_; }
 
-  // Slack-aware batch formation (same knob as EngineOptions::batch_policy
-  // on the Server; `cost_model` must outlive the engine, null disables the
-  // policy). Caution: this engine's clock is pinned at now=0, so deferrals
-  // never mature — a policy that defers a type indefinitely stalls the
-  // scheduler, and RunToCompletion then fails the stuck requests with
-  // kFailed (see FailStalledRequests) instead of hanging or aborting.
-  void set_batch_policy(const BatchPolicyOptions& policy, const CostModel* cost_model);
-
  private:
   double NowMicros() const;
-  // Stall recovery: when Schedule produces no work while requests remain
-  // active (a broken invariant, or a configuration such as slack_batching
-  // whose deferrals never mature at the engine's fixed now=0), fail each
-  // stuck request with kFailed plus a logged diagnostic of the nodes that
-  // never became ready, instead of aborting the process.
-  void FailStalledRequests();
 
   const CellRegistry* registry_;
   TraceRecorder trace_;

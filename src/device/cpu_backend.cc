@@ -25,41 +25,18 @@ class CpuArena : public DeviceArena {
 
 // One worker's execution resources, constructed on the pinned execution
 // thread (the spawned pool threads inherit its affinity mask, and the
-// scratch arena / weight replicas are first-touched node-locally). The
-// destructor releases the replicas, so a quarantine respawn re-acquires
-// them by simply re-creating the queue.
+// scratch arena is first-touched node-locally).
 class CpuQueue : public DeviceQueue {
  public:
-  CpuQueue(const BatchAssembler* assembler, const CellRegistry* registry,
-           Precision precision, const DeviceQueueOptions& options)
+  CpuQueue(const BatchAssembler* assembler, Precision precision,
+           const DeviceQueueOptions& options)
       : assembler_(assembler),
-        registry_(registry),
         pool_(options.threads, options.thread_name_prefix),
-        replica_node_(options.replicate_weights ? options.numa_node : -1),
-        ctx_{&pool_, &exec_arena_, precision, replica_node_} {
+        ctx_{&pool_, &exec_arena_, precision} {
     if (options.numa_node >= 0) {
       // First-touch the scratch arena from its pinned owner so the cell
       // intermediates' steady-state pages live on this node.
       exec_arena_.Prefault(size_t{1} << 20);
-    }
-    if (replica_node_ >= 0) {
-      // pin+replicate: hold a node-local replica of every cell's packed
-      // weight panels for the lifetime of this queue.
-      replicated_.reserve(static_cast<size_t>(registry_->NumTypes()));
-      for (CellTypeId t = 0; t < registry_->NumTypes(); ++t) {
-        const CellExecutor& executor = registry_->executor(t);
-        const Precision effective = executor.precision() != Precision::kF32
-                                        ? executor.precision()
-                                        : precision;
-        executor.AcquireNodeReplica(replica_node_, effective);
-        replicated_.push_back(&executor);
-      }
-    }
-  }
-
-  ~CpuQueue() override {
-    for (const CellExecutor* executor : replicated_) {
-      executor->ReleaseNodeReplica(replica_node_);
     }
   }
 
@@ -90,18 +67,15 @@ class CpuQueue : public DeviceQueue {
 
  private:
   const BatchAssembler* assembler_;
-  const CellRegistry* registry_;
   ThreadPool pool_;
   TensorArena exec_arena_;
-  const int replica_node_;
-  std::vector<const CellExecutor*> replicated_;
   const ExecContext ctx_;
 };
 
 }  // namespace
 
 CpuBackend::CpuBackend(const CellRegistry* registry, Precision precision)
-    : registry_(registry), precision_(precision), assembler_(registry) {
+    : precision_(precision), assembler_(registry) {
   BM_CHECK(registry != nullptr);
   caps_.real_compute = true;
   caps_.requires_gather = true;
@@ -119,7 +93,7 @@ std::unique_ptr<DeviceArena> CpuBackend::CreateArena() {
 std::unique_ptr<DeviceQueue> CpuBackend::CreateQueue(
     const DeviceQueueOptions& options) {
   BM_CHECK_GT(options.threads, 0);
-  return std::make_unique<CpuQueue>(&assembler_, registry_, precision_, options);
+  return std::make_unique<CpuQueue>(&assembler_, precision_, options);
 }
 
 void CpuBackend::Gather(const BatchedTask& task,

@@ -1,8 +1,7 @@
 // CpuBackend: the real-compute device — pre-packed PackedMatrix GEMM on
-// an intra-task ThreadPool, TensorArena staging, and node-local weight
-// replicas under NumaPolicy::kPinReplicate. It drives exactly the same
-// BatchAssembler calls with exactly the same ExecContext the Server used
-// to build inline, so results are bitwise identical to SyncEngine
+// an intra-task ThreadPool and TensorArena staging. It drives exactly the
+// same BatchAssembler calls with exactly the same ExecContext the Server
+// used to build inline, so results are bitwise identical to SyncEngine
 // (determinism_test proves it).
 //
 // Submit executes synchronously on the calling (execution) thread and
@@ -35,7 +34,6 @@ class CpuBackend : public DeviceBackend {
               const std::vector<uint8_t>* poisoned) const override;
 
  private:
-  const CellRegistry* registry_;
   const Precision precision_;
   BatchAssembler assembler_;
   DeviceCaps caps_;

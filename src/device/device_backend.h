@@ -139,9 +139,6 @@ struct DeviceQueueOptions {
   // NUMA node this worker is pinned to, -1 = unpinned. Backends prefault
   // their scratch storage from the calling thread when >= 0.
   int numa_node = -1;
-  // Acquire node-local replicas of the pre-packed weight panels for the
-  // queue's lifetime (NumaPolicy::kPinReplicate).
-  bool replicate_weights = false;
 };
 
 // One worker's in-order task stream. Submit runs a gathered task to

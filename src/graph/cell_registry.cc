@@ -7,6 +7,7 @@ namespace batchmaker {
 CellTypeId CellRegistry::Register(std::unique_ptr<CellDef> def, int priority, int max_batch) {
   BM_CHECK(def != nullptr);
   BM_CHECK(def->finalized()) << "register only finalized cells";
+  BM_CHECK_GT(max_batch, 0);
   const uint64_t hash = def->ContentHash();
   auto [it, end] = by_hash_.equal_range(hash);
   for (; it != end; ++it) {

@@ -45,6 +45,7 @@ class CellRegistry {
 
   // Registers a finalized cell. If an identical cell (by content) is already
   // registered, returns its existing id. The registry takes ownership.
+  // `max_batch` must be positive.
   CellTypeId Register(std::unique_ptr<CellDef> def, int priority = 0, int max_batch = 256);
 
   int NumTypes() const { return static_cast<int>(cells_.size()); }

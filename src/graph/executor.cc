@@ -83,71 +83,6 @@ void CellExecutor::EnsurePacked(Precision p) const {
   }
 }
 
-void CellExecutor::AcquireNodeReplica(int node, Precision p) const {
-  if (node < 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  NodeReplica& rep = replicas_[node];
-  ++rep.refs;
-  const size_t slot = static_cast<size_t>(p);
-  if (rep.ready[slot]) {
-    return;
-  }
-  // Re-pack from the source weights on the calling thread: under the pin
-  // policies the caller is the node's own exec thread, so first-touch
-  // places every panel page on `node`. Packing is deterministic, keeping
-  // replica reads bitwise-identical to the shared packs.
-  auto& packs = rep.packs[slot];
-  for (const auto& [id, packed] : packed_weights_) {
-    (void)packed;
-    const OpNode& rhs = def_->op(def_->op(id).inputs[1]);
-    switch (p) {
-      case Precision::kF32:
-        packs.emplace(id, PackedMatrix::Pack(rhs.weight));
-        break;
-      case Precision::kBf16:
-        packs.emplace(id, PackedMatrix::PackBf16(rhs.weight));
-        break;
-      case Precision::kInt8:
-        packs.emplace(id, PackedMatrix::PackInt8(rhs.weight));
-        break;
-    }
-  }
-  rep.ready[slot] = true;
-}
-
-void CellExecutor::ReleaseNodeReplica(int node) const {
-  if (node < 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  const auto it = replicas_.find(node);
-  if (it == replicas_.end()) {
-    return;
-  }
-  if (--it->second.refs <= 0) {
-    replicas_.erase(it);
-  }
-}
-
-int CellExecutor::NumNodeReplicas() const {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  return static_cast<int>(replicas_.size());
-}
-
-bool CellExecutor::HasNodeReplica(int node, Precision p) const {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  const auto it = replicas_.find(node);
-  return it != replicas_.end() && it->second.ready[static_cast<size_t>(p)];
-}
-
-const CellExecutor::NodeReplica* CellExecutor::FindNodeReplica(int node) const {
-  std::lock_guard<std::mutex> lock(replica_mu_);
-  const auto it = replicas_.find(node);
-  return it != replicas_.end() ? &it->second : nullptr;
-}
-
 std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inputs,
                                           const ExecContext* ctx) const {
   const CellDef& def = *def_;
@@ -162,24 +97,10 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
   if (prec != Precision::kF32 && !packed_weights_.empty()) {
     EnsurePacked(prec);
   }
-  // One locked lookup per call resolves the caller's node-local replica
-  // (null when no replica policy is active); per-matmul reads below are
-  // then lock-free against its immutable packs.
-  const NodeReplica* replica = nullptr;
-  if (ctx != nullptr && ctx->numa_node >= 0 && !packed_weights_.empty()) {
-    replica = FindNodeReplica(ctx->numa_node);
-  }
-  // The packed panel for op `id` at precision `pr`: the node replica when
-  // it carries one, else the shared pack (never null on the paths below,
-  // which all guard on packed_weights_ membership / EnsurePacked).
+  // The packed panel for op `id` at precision `pr` (never null on the
+  // paths below, which all guard on packed_weights_ membership /
+  // EnsurePacked).
   auto packed_for = [&](int id, Precision pr) -> const PackedMatrix* {
-    if (replica != nullptr) {
-      const auto& packs = replica->packs[static_cast<size_t>(pr)];
-      const auto it = packs.find(id);
-      if (it != packs.end()) {
-        return &it->second;
-      }
-    }
     const std::unordered_map<int, PackedMatrix>& shared =
         pr == Precision::kBf16 ? packed_bf16_
         : pr == Precision::kInt8 ? packed_int8_

@@ -14,7 +14,6 @@
 #ifndef SRC_GRAPH_EXECUTOR_H_
 #define SRC_GRAPH_EXECUTOR_H_
 
-#include <array>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -36,12 +35,9 @@ struct ExecContext {
   // GEMM precision for pre-packed MatMul weights. A per-cell precision set
   // at construction/registration wins over this engine-wide default.
   Precision precision = Precision::kF32;
-  // NUMA node whose weight-pack replica this worker prefers; -1 (default)
-  // reads the shared packs. Only meaningful between a matching
-  // AcquireNodeReplica / ReleaseNodeReplica pair on the executor — a node
-  // without a replica (or a missing precision within one) silently falls
-  // back to the shared packs, so this is a placement hint, never a
-  // correctness requirement.
+  // Has no reader. It stays only because servebench/probes.cc
+  // brace-initialises all four fields; once ROADMAP item 6's
+  // benchmark-only change drops that -1, delete it.
   int numa_node = -1;
 };
 
@@ -71,39 +67,7 @@ class CellExecutor {
   // Number of MatMul weights pre-packed at construction (diagnostics).
   int NumPackedWeights() const { return static_cast<int>(packed_weights_.size()); }
 
-  // ---- Node-local weight-pack replicas (numa_policy = pin+replicate) ----
-  //
-  // A worker pinned to NUMA node n acquires a replica of this cell's packed
-  // weights before serving and releases it at shutdown. The replica is
-  // materialized lazily (first acquirer per node x precision packs it, on
-  // its own — pinned — thread, so first-touch places the panel pages on
-  // node n) and refcounted (last release frees the node's packs). Packing
-  // is deterministic, so replica reads are bitwise-identical to the shared
-  // packs. Execute consults the replica of ctx->numa_node and falls back to
-  // the shared packs for anything missing.
-
-  // Materializes (if needed) and pins a reference to node `node`'s replica
-  // at precision `p`. Thread-safe; node < 0 is a no-op.
-  void AcquireNodeReplica(int node, Precision p) const;
-  // Drops one reference; the last release frees the node's packs.
-  void ReleaseNodeReplica(int node) const;
-  // Replica-table diagnostics (tests): live replica count / presence.
-  int NumNodeReplicas() const;
-  bool HasNodeReplica(int node, Precision p) const;
-
  private:
-  struct NodeReplica {
-    // Per-precision packs, keyed like packed_weights_ (MatMul op id).
-    std::array<std::unordered_map<int, PackedMatrix>, kNumPrecisions> packs;
-    std::array<bool, kNumPrecisions> ready{};
-    int refs = 0;
-  };
-
-  // The live replica for `node`, or null. The returned pointer is stable
-  // (unordered_map nodes do not move on rehash) and stays valid while the
-  // caller holds a reference from AcquireNodeReplica.
-  const NodeReplica* FindNodeReplica(int node) const;
-
   const CellDef* def_;  // not owned; must outlive the executor
   // Per-cell precision override; kF32 defers to the ExecContext.
   Precision precision_ = Precision::kF32;
@@ -126,12 +90,6 @@ class CellExecutor {
   //    all of K).
   std::vector<bool> bias_fused_;
   std::vector<bool> concat_split_;
-  // Node id -> refcounted replica. Guarded by replica_mu_ for structural
-  // access (acquire/release/find); a replica's packs are immutable once its
-  // ready flag is set, so Execute reads them lock-free after the one
-  // FindNodeReplica lookup.
-  mutable std::mutex replica_mu_;
-  mutable std::unordered_map<int, NodeReplica> replicas_;
 };
 
 }  // namespace batchmaker

@@ -23,7 +23,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kRequestReject: return "request_reject";
     case TraceEventKind::kTaskFailed: return "task_failed";
     case TraceEventKind::kShardSteal: return "shard_steal";
-    case TraceEventKind::kBatchDelayed: return "batch_delayed";
     case TraceEventKind::kCostModelRefit: return "cost_model_refit";
     case TraceEventKind::kGemmKernel: return "gemm_kernel";
     case TraceEventKind::kWorkerPinned: return "worker_pinned";
@@ -227,16 +226,6 @@ void TraceRecorder::ShardSteal(RequestId id, int from_shard, int to_shard) {
   }
   Record(TraceEvent{.kind = TraceEventKind::kShardSteal, .ts_micros = NowMicros(),
                     .id = id, .value = from_shard, .shard = to_shard});
-}
-
-void TraceRecorder::BatchDelayed(CellTypeId type, int worker, double delay_micros,
-                                 int batch_size) {
-  if (!enabled()) {
-    return;
-  }
-  Record(TraceEvent{.kind = TraceEventKind::kBatchDelayed, .type = type,
-                    .worker = worker, .ts_micros = NowMicros(),
-                    .aux_micros = delay_micros, .value = batch_size});
 }
 
 void TraceRecorder::CostModelRefit(CellTypeId type, int num_anchors,

@@ -54,7 +54,6 @@ enum class TraceEventKind : uint8_t {
   kRequestReject,       // id = request (refused at admission, never admitted)
   kTaskFailed,          // id = task, type, worker, value = batch size
   kShardSteal,          // id = request, shard = thief, value = victim shard
-  kBatchDelayed,        // type, worker, value = batch size, aux = delay micros
   kCostModelRefit,      // type, id = observations, value = fitted anchors
   kGemmKernel,          // value = Precision enum value; once per engine start
   kWorkerPinned,        // worker; value = NUMA node index, id = 1 if pinned
@@ -62,7 +61,8 @@ enum class TraceEventKind : uint8_t {
   kWorkerReadmit,       // worker; aux_micros = quarantine-entry timestamp
   kWorkerRespawn,       // worker (dead exec thread replaced)
 };
-inline constexpr int kNumTraceEventKinds = 23;
+inline constexpr int kNumTraceEventKinds =
+    static_cast<int>(TraceEventKind::kWorkerRespawn) + 1;
 
 // Name for logs/export, e.g. "request_arrival".
 const char* TraceEventKindName(TraceEventKind kind);
@@ -149,10 +149,7 @@ class TraceRecorder {
   // `to_shard` through the work-stealing protocol (recorded by the thief
   // when it adopts the request).
   void ShardSteal(RequestId id, int from_shard, int to_shard);
-  // Slack-aware batch formation (DESIGN.md): a deferred cell type finally
-  // launched a batch after `delay_micros` of deliberate waiting...
-  void BatchDelayed(CellTypeId type, int worker, double delay_micros, int batch_size);
-  // ...and the online cost model re-fitted a cell type's cost curve from
+  // The online cost model re-fitted a cell type's cost curve from
   // `observations` cumulative measured exec spans.
   void CostModelRefit(CellTypeId type, int num_anchors, int64_t observations);
   // Low-precision execution metadata, recorded once at engine start:

@@ -9,9 +9,9 @@
 // batch buckets holding an EWMA of (batch, micros); every
 // `refit_interval` observations of a type the buckets are re-fitted into
 // the standard log-log anchor representation, so CostCurve::Micros stays
-// the single query API and every consumer (slack-aware scheduling,
-// AutotuneMaxBatch, benches) sees the calibrated curve through the same
-// TaskMicros call.
+// the single query API and every consumer (the health watchdog's hang
+// thresholds, AutotuneMaxBatch, benches) sees the calibrated curve through
+// the same TaskMicros call.
 //
 // Threading: Observe is called from worker execution threads while
 // TaskMicros is called from manager threads; one mutex guards the bucket

@@ -20,7 +20,6 @@ const char* NumaPolicyName(NumaPolicy policy) {
   switch (policy) {
     case NumaPolicy::kNone: return "none";
     case NumaPolicy::kPin: return "pin";
-    case NumaPolicy::kPinReplicate: return "pin+replicate";
   }
   return "unknown";
 }
@@ -30,8 +29,6 @@ bool ParseNumaPolicy(const std::string& text, NumaPolicy* out) {
     *out = NumaPolicy::kNone;
   } else if (text == "pin") {
     *out = NumaPolicy::kPin;
-  } else if (text == "pin+replicate") {
-    *out = NumaPolicy::kPinReplicate;
   } else {
     return false;
   }

@@ -31,17 +31,14 @@ namespace batchmaker {
 enum class NumaPolicy {
   // No discovery, no pinning: bitwise-identical to the pre-NUMA server.
   kNone = 0,
-  // Pin each worker's exec thread (and its intra-task pool) to one node
-  // and align shard boundaries with node boundaries.
+  // Pin each worker's exec thread (and its intra-task pool) to one node,
+  // first-touch its staging and scratch arenas there, and align shard
+  // boundaries with node boundaries.
   kPin,
-  // kPin plus node-local replicas of the pre-packed weight panels and
-  // first-touch staging arenas, so steady-state GEMM B-panel and gather
-  // buffer reads never cross the interconnect.
-  kPinReplicate,
 };
 
 const char* NumaPolicyName(NumaPolicy policy);
-// Accepts "none", "pin", "pin+replicate". Returns false on anything else.
+// Accepts "none" and "pin". Returns false on anything else.
 bool ParseNumaPolicy(const std::string& text, NumaPolicy* out);
 
 // One NUMA node with at least one usable cpu. Memory-only nodes (no online

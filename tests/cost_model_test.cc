@@ -4,10 +4,10 @@
 //
 // The calibration accuracy bound asserted here — fitted predictions within
 // 10% of the true device latency at every power-of-two batch once enough
-// observations have landed — is the documented error bound for slack-aware
-// batch formation (DESIGN.md "SLA-aware batch formation"): the slack
-// policy's launch instants are only as good as TaskMicros, so this test is
-// the contract that keeps them honest.
+// observations have landed — is the documented error bound of the model
+// the health watchdog prices its hang thresholds from (DESIGN.md "Worker
+// failure domains"): a threshold is a multiple of TaskMicros, so this test
+// keeps it tied to the device it watches.
 
 #include <gtest/gtest.h>
 
@@ -115,7 +115,7 @@ TEST(OnlineCostModelTest, CalibrationConvergesWithinTenPercent) {
   // then stream noiseless measurements of the true device at the batch
   // sizes a serving loop actually produces. After calibration, predictions
   // at every observed power-of-two batch must land within 10% of truth —
-  // the documented error bound for slack-aware launch-instant estimates.
+  // the documented error bound for the watchdog's predicted spans.
   OnlineCostModelOptions opts;
   opts.refit_interval = 16;
   OnlineCostModel model(opts);

@@ -193,79 +193,6 @@ TEST(DeterminismTest, PipelinedStreamsMatchSyncEngineBitwiseAtAnyDepth) {
   }
 }
 
-TEST(DeterminismTest, SlackBatchingPreservesBitwiseOutputsAtEveryConfig) {
-  // SLA-aware batch formation changes *when* batches launch and *which*
-  // requests share a task — never the numbers. With slack_batching on (and
-  // the online cost model calibrating live), every shard x depth config
-  // must still match the serial SyncEngine bit for bit.
-  constexpr int kRequests = 20;
-  constexpr int64_t kInputDim = 24;
-  constexpr int64_t kHidden = 40;
-  const auto requests = MakeRequests(kRequests, kInputDim, /*seed=*/66);
-
-  WideLstmFixture ref_fix;
-  std::vector<std::vector<Tensor>> ref_outputs(kRequests);
-  {
-    SyncEngine engine(&ref_fix.registry);
-    std::vector<RequestId> ids;
-    for (const RequestSpec& spec : requests) {
-      ids.push_back(engine.Submit(ref_fix.model.Unfold(spec.length),
-                                  ChainExternals(spec, kHidden),
-                                  {ValueRef::Output(spec.length - 1, 0),
-                                   ValueRef::Output(spec.length - 1, 1)}));
-    }
-    engine.RunToCompletion();
-    for (int i = 0; i < kRequests; ++i) {
-      ref_outputs[static_cast<size_t>(i)] =
-          engine.TakeResponse(ids[static_cast<size_t>(i)]).outputs;
-    }
-  }
-
-  for (int shards : {1, 2}) {
-    for (int depth : {1, 2}) {
-      WideLstmFixture fix;
-      ServerOptions options;
-      options.num_workers = 2;
-      options.threads_per_worker = 2;
-      options.num_shards = shards;
-      options.pipeline_depth = depth;
-      options.batch_policy.slack_batching = true;
-      options.batch_policy.max_delay_micros = 300.0;
-      Server server(&fix.registry, options);
-      server.Start();
-
-      std::vector<std::promise<std::vector<Tensor>>> promises(kRequests);
-      std::vector<std::future<std::vector<Tensor>>> futures;
-      for (int i = 0; i < kRequests; ++i) {
-        futures.push_back(promises[static_cast<size_t>(i)].get_future());
-      }
-      for (int i = 0; i < kRequests; ++i) {
-        const RequestSpec& spec = requests[static_cast<size_t>(i)];
-        auto* promise = &promises[static_cast<size_t>(i)];
-        server.Submit(fix.model.Unfold(spec.length), ChainExternals(spec, kHidden),
-                      {ValueRef::Output(spec.length - 1, 0),
-                       ValueRef::Output(spec.length - 1, 1)},
-                      [promise](RequestId, RequestStatus, std::vector<Tensor> outputs) {
-                        promise->set_value(std::move(outputs));
-                      });
-      }
-      for (int i = 0; i < kRequests; ++i) {
-        const std::vector<Tensor> outputs = futures[static_cast<size_t>(i)].get();
-        const std::vector<Tensor>& want = ref_outputs[static_cast<size_t>(i)];
-        ASSERT_EQ(outputs.size(), want.size())
-            << "request " << i << " shards " << shards << " depth " << depth;
-        for (size_t j = 0; j < outputs.size(); ++j) {
-          EXPECT_TRUE(outputs[j].ElementsEqual(want[j]))
-              << "request " << i << " output " << j << " differs at shards "
-              << shards << " depth " << depth << " with slack batching on";
-        }
-      }
-      server.Shutdown();
-      EXPECT_EQ(server.metrics().NumCompleted(), static_cast<size_t>(kRequests));
-    }
-  }
-}
-
 TEST(DeterminismTest, ServerOutputIsIndependentOfThreadsPerWorker) {
   constexpr int kRequests = 12;
   constexpr int64_t kInputDim = 24;

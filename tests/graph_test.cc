@@ -190,6 +190,21 @@ TEST(RegistryTest, InfoAndSetters) {
   EXPECT_EQ(registry.info(id).min_batch, 4);
 }
 
+// A batch cap below 1 has no meaning: at 0 the scheduler never forms a
+// task, so the request never completes, and at -1 task formation throws.
+// Both registration (its dedup path included) and the setter reject it.
+TEST(RegistryDeathTest, RegisterRejectsNonPositiveMaxBatch) {
+  CellRegistry registry;
+  EXPECT_DEATH(registry.Register(MakeAffineCell(1.0f), /*priority=*/0, /*max_batch=*/0),
+               "max_batch");
+  EXPECT_DEATH(registry.Register(MakeAffineCell(1.0f), /*priority=*/0, /*max_batch=*/-1),
+               "max_batch");
+  registry.Register(MakeAffineCell(1.0f));
+  EXPECT_DEATH(registry.Register(MakeAffineCell(1.0f), /*priority=*/0, /*max_batch=*/0),
+               "max_batch");
+  EXPECT_DEATH(registry.SetMaxBatch(0, 0), "max_batch");
+}
+
 TEST(RegistryTest, FindByName) {
   CellRegistry registry;
   const CellTypeId id = registry.Register(MakeAffineCell(1.0f, "special"));

@@ -6,8 +6,7 @@
 //   * graceful pin degradation (a node whose cpus this host lacks reports
 //     unpinned, and the server keeps serving);
 //   * the bitwise contract — every policy produces outputs identical to
-//     numa_policy = none and to the serial SyncEngine;
-//   * refcounted per-node weight-pack replica lifecycle on CellExecutor.
+//     numa_policy = none and to the serial SyncEngine.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 
 #include "src/core/server.h"
 #include "src/core/sync_engine.h"
-#include "src/graph/executor.h"
 #include "src/nn/lstm.h"
 #include "src/util/rng.h"
 #include "src/util/topology.h"
@@ -200,8 +198,7 @@ TEST(NumaPlacementTest, AllPoliciesBitwiseIdenticalToSyncEngine) {
     }
   }
 
-  for (const NumaPolicy policy :
-       {NumaPolicy::kNone, NumaPolicy::kPin, NumaPolicy::kPinReplicate}) {
+  for (const NumaPolicy policy : {NumaPolicy::kNone, NumaPolicy::kPin}) {
     const auto outputs = RunServer(requests, policy, /*workers=*/4, /*shards=*/2);
     ASSERT_EQ(outputs.size(), static_cast<size_t>(kRequests));
     for (int i = 0; i < kRequests; ++i) {
@@ -215,62 +212,6 @@ TEST(NumaPlacementTest, AllPoliciesBitwiseIdenticalToSyncEngine) {
       }
     }
   }
-}
-
-TEST(NumaPlacementTest, ReplicaLifecycleIsRefcounted) {
-  TinyLstmFixture fix;
-  const CellExecutor& exec = fix.registry.executor(fix.model.cell_type());
-  exec.EnsurePacked(Precision::kF32);
-  EXPECT_EQ(exec.NumNodeReplicas(), 0);
-
-  exec.AcquireNodeReplica(/*node=*/1, Precision::kF32);
-  EXPECT_EQ(exec.NumNodeReplicas(), 1);
-  EXPECT_TRUE(exec.HasNodeReplica(1, Precision::kF32));
-  EXPECT_FALSE(exec.HasNodeReplica(0, Precision::kF32));
-
-  // Second acquirer on the same node shares the replica.
-  exec.AcquireNodeReplica(1, Precision::kF32);
-  EXPECT_EQ(exec.NumNodeReplicas(), 1);
-
-  // A different node gets its own copy.
-  exec.AcquireNodeReplica(0, Precision::kF32);
-  EXPECT_EQ(exec.NumNodeReplicas(), 2);
-
-  exec.ReleaseNodeReplica(1);
-  EXPECT_EQ(exec.NumNodeReplicas(), 2);  // one ref on node 1 still held
-  exec.ReleaseNodeReplica(1);
-  EXPECT_EQ(exec.NumNodeReplicas(), 1);
-  EXPECT_FALSE(exec.HasNodeReplica(1, Precision::kF32));
-  exec.ReleaseNodeReplica(0);
-  EXPECT_EQ(exec.NumNodeReplicas(), 0);
-}
-
-TEST(NumaPlacementTest, ServerReleasesReplicasOnShutdown) {
-  TinyLstmFixture fix;
-  ServerOptions options;
-  options.num_workers = 2;
-  options.numa_policy = NumaPolicy::kPinReplicate;
-  options.numa_sysfs_root = FakeSysfsRoot("sysfs_2node");
-  Server server(&fix.registry, options);
-  server.Start();
-
-  Rng data_rng(13);
-  std::vector<Tensor> xs;
-  for (int t = 0; t < 4; ++t) {
-    xs.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &data_rng));
-  }
-  std::vector<Tensor> ext = xs;
-  ext.push_back(ExternalZeroVecTensor(4));
-  ext.push_back(ExternalZeroVecTensor(4));
-  const Response res =
-      server.SubmitAndWait(fix.model.Unfold(4), std::move(ext), {ValueRef::Output(3, 0)});
-  EXPECT_TRUE(res.ok());
-
-  // Exec threads hold node replicas while the server runs...
-  EXPECT_GT(fix.registry.executor(fix.model.cell_type()).NumNodeReplicas(), 0);
-  server.Shutdown();
-  // ...and the last worker of each node frees them on the way out.
-  EXPECT_EQ(fix.registry.executor(fix.model.cell_type()).NumNodeReplicas(), 0);
 }
 
 }  // namespace

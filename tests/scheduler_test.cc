@@ -4,14 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/core/request_processor.h"
 #include "src/core/scheduler.h"
-#include "src/runtime/cost_model.h"
 #include "tests/test_models.h"
 
 namespace batchmaker {
@@ -547,249 +545,6 @@ TEST(SchedulerTest, RepeatedExecutionFailuresStillExhaustRetryBudget) {
   }
   ASSERT_EQ(h.finalized.size(), 1u);
   EXPECT_EQ(h.finalized[0].second, RequestStatus::kFailed);
-}
-
-// ---------- SLA-aware batch formation (DESIGN.md) ----------
-
-// A strongly sub-linear curve: doubling the batch barely increases task
-// cost, so the efficiency test always favours waiting for joiners.
-CostCurve SubLinearCurve() { return CostCurve({{1, 100.0}, {8, 110.0}}); }
-
-// A perfectly linear curve: per-item cost is constant, so waiting buys
-// nothing and the knee-of-curve test launches immediately.
-CostCurve LinearCurve() { return CostCurve({{1, 100.0}, {2, 200.0}, {8, 800.0}}); }
-
-BatchPolicyOptions SlackPolicy(double max_delay = 500.0) {
-  BatchPolicyOptions policy;
-  policy.slack_batching = true;
-  policy.max_delay_micros = max_delay;
-  return policy;
-}
-
-TEST(SchedulerSlackTest, DefersSmallBatchThenLaunchesAtBudgetEnd) {
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  // One no-deadline request: infinite slack, sub-linear curve, batch far
-  // below max -> defer.
-  h.processor().AddRequest(1, fix.model.Unfold(1), 1000.0);
-  EXPECT_TRUE(h.scheduler().Schedule(0, 1000.0).empty());
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(), 1500.0);
-
-  // Still inside the starvation budget: stays deferred, hint unchanged.
-  EXPECT_TRUE(h.scheduler().Schedule(0, 1200.0).empty());
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(), 1500.0);
-
-  // Budget exhausted: launches even though the batch never grew, and the
-  // delay is accounted.
-  const auto tasks = h.scheduler().Schedule(0, 1500.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(tasks[0].BatchSize(), 1);
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 1);
-  EXPECT_DOUBLE_EQ(h.scheduler().TotalBatchDelayMicros(), 500.0);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, DeferredTypeGrowsBatchWhileWaiting) {
-  // The point of delaying: a request arriving during the deferral window
-  // joins the batch, so the eventual launch is bigger than greedy's.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  EXPECT_TRUE(h.scheduler().Schedule(0, 0.0).empty());
-  h.processor().AddRequest(2, fix.model.Unfold(1), 200.0);
-  const auto tasks = h.scheduler().Schedule(0, 500.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(tasks[0].BatchSize(), 2);  // greedy would have launched 1 at t=0
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 1);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, FullBatchLaunchesImmediately) {
-  TinyLstmFixture fix;
-  fix.registry.SetMaxBatch(fix.model.cell_type(), 2);
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  h.processor().AddRequest(2, fix.model.Unfold(1), 0.0);
-  // Waiting cannot grow a batch already at max_batch: no deferral.
-  const auto tasks = h.scheduler().Schedule(0, 0.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(tasks[0].BatchSize(), 2);
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 0);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, KneeOfCurveLaunchesImmediately) {
-  // Linear cost region: doubling the batch doubles the cost, per-item gain
-  // is zero < min_efficiency_gain, so waiting is pointless and the policy
-  // launches greedily.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), LinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  const auto tasks = h.scheduler().Schedule(0, 0.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 0);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, TightDeadlineForcesEarlyLaunch) {
-  // SLA deadline 150us, estimated step cost ~100us, chain height 1:
-  // launch_at = arrival + 150 - 1*cost ~= 50. At now=60 the launch instant
-  // has passed, so the batch goes out immediately - no deferral, no
-  // starvation-budget wait.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  RequestState* state = h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  state->deadline_micros = 150.0;
-  const auto tasks = h.scheduler().Schedule(0, 60.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 0);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, DeadlineSetsLaunchHintTighterThanBudget) {
-  // Same request, but consulted before its launch instant: the deferral
-  // hint is the deadline-driven launch_at (50), not the starvation budget
-  // end (500), and the batch launches exactly there.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  RequestState* state = h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  state->deadline_micros = 150.0;
-  EXPECT_TRUE(h.scheduler().Schedule(0, 0.0).empty());
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(),
-                   150.0 - cost.TaskMicros(fix.model.cell_type(), 1));
-  const auto tasks = h.scheduler().Schedule(0, h.scheduler().NextLaunchMicros());
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 1);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, DeeperChainLaunchesEarlierViaHeight) {
-  // A 3-step chain must finish 3 cost-model steps before its deadline, so
-  // its launch instant is height*step earlier than a 1-step request's.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(5000.0));
-
-  RequestState* state = h.processor().AddRequest(1, fix.model.Unfold(3), 0.0);
-  state->deadline_micros = 1000.0;
-  EXPECT_TRUE(h.scheduler().Schedule(0, 0.0).empty());
-  const double step = cost.TaskMicros(fix.model.cell_type(), 1);
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(), 1000.0 - 3 * step);
-}
-
-TEST(SchedulerSlackTest, ZeroMaxDelayReproducesGreedy) {
-  // The documented escape hatch: slack_batching on with max_delay 0 is
-  // byte-for-byte the greedy policy.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(0.0));
-
-  h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  const auto tasks = h.scheduler().Schedule(0, 0.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 0);
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(),
-                   std::numeric_limits<double>::infinity());
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
-}
-
-TEST(SchedulerSlackTest, CancelClearsDeferralAndHint) {
-  // Regression: a deferred type whose only request is cancelled must not
-  // keep a stale launch hint alive (the engine would wake for nothing).
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  EXPECT_TRUE(h.scheduler().Schedule(0, 0.0).empty());
-  EXPECT_LT(h.scheduler().NextLaunchMicros(), std::numeric_limits<double>::infinity());
-  h.scheduler().CancelRequest(1);
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(),
-                   std::numeric_limits<double>::infinity());
-  EXPECT_FALSE(h.scheduler().HasReadyWork());
-}
-
-TEST(SchedulerSlackTest, ExpireLaunchHintsSilencesPassedHints) {
-  // A hint that passed without a launch (e.g. all workers busy) is
-  // silenced so the engine's timed wait cannot spin; the deferral persists
-  // and the next feasible Schedule launches greedily.
-  TinyLstmFixture fix;
-  SchedulerHarness h(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), SubLinearCurve());
-  h.scheduler().set_cost_model(&cost);
-  h.scheduler().set_batch_policy(SlackPolicy(500.0));
-
-  h.processor().AddRequest(1, fix.model.Unfold(1), 0.0);
-  EXPECT_TRUE(h.scheduler().Schedule(0, 0.0).empty());
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(), 500.0);
-
-  h.scheduler().ExpireLaunchHints(600.0);
-  EXPECT_DOUBLE_EQ(h.scheduler().NextLaunchMicros(),
-                   std::numeric_limits<double>::infinity());
-
-  // Budget long exhausted: the next Schedule launches and still accounts
-  // the full deferral span.
-  const auto tasks = h.scheduler().Schedule(0, 700.0);
-  ASSERT_FALSE(tasks.empty());
-  EXPECT_EQ(h.scheduler().TotalDelayedLaunches(), 1);
-  EXPECT_DOUBLE_EQ(h.scheduler().TotalBatchDelayMicros(), 700.0);
-  for (const auto& t : tasks) {
-    h.scheduler().OnTaskCompleted(t);
-  }
 }
 
 }  // namespace

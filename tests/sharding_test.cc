@@ -157,62 +157,6 @@ TEST(ShardingTest, ShardedServerMatchesSyncEngineBitwiseAtEveryConfig) {
   }
 }
 
-TEST(ShardingTest, SlackBatchingShardedServerMatchesSyncEngineBitwise) {
-  // Slack-aware batch formation under sharding: deferred launches, steals
-  // and the online cost model together must not perturb one output bit.
-  // Every request carries a generous SLA deadline so the slack policy has
-  // real per-node slacks to reason about, but nothing sheds.
-  constexpr int64_t kHidden = 4;
-  constexpr int kRequests = 18;
-  TinyLstmFixture ref_fix;
-  const auto requests = MakeChainRequests(kRequests, kHidden, /*seed=*/73);
-  const auto reference = ReferenceOutputs(&ref_fix.registry, ref_fix.model,
-                                          requests, kHidden);
-
-  for (const int shards : {1, 2}) {
-    for (const int depth : {1, 2}) {
-      TinyLstmFixture fix;
-      ServerOptions options;
-      options.num_workers = 2;
-      options.num_shards = shards;
-      options.pipeline_depth = depth;
-      options.batch_policy.slack_batching = true;
-      options.batch_policy.max_delay_micros = 200.0;
-      Server server(&fix.registry, options);
-      server.Start();
-
-      std::vector<std::promise<Response>> promises(kRequests);
-      std::vector<std::future<Response>> futures;
-      for (int i = 0; i < kRequests; ++i) {
-        futures.push_back(promises[static_cast<size_t>(i)].get_future());
-      }
-      for (int i = 0; i < kRequests; ++i) {
-        const ChainRequest& r = requests[static_cast<size_t>(i)];
-        auto* promise = &promises[static_cast<size_t>(i)];
-        server.Submit(fix.model.Unfold(r.length), MakeChainExternals(r.xs, kHidden),
-                      {ValueRef::Output(r.length - 1, 0)},
-                      [promise](RequestId, RequestStatus status,
-                                std::vector<Tensor> outputs) {
-                        promise->set_value(Response{status, std::move(outputs)});
-                      },
-                      SubmitOptions{.deadline_micros = 10e6});
-      }
-      for (int i = 0; i < kRequests; ++i) {
-        const Response res = futures[static_cast<size_t>(i)].get();
-        ASSERT_TRUE(res.ok())
-            << "request " << i << " shards " << shards << " depth " << depth;
-        ASSERT_EQ(res.outputs.size(), 1u);
-        EXPECT_TRUE(res.outputs[0].ElementsEqual(reference[static_cast<size_t>(i)]))
-            << "request " << i << " shards " << shards << " depth " << depth
-            << " with slack batching on";
-      }
-      server.Shutdown();
-      EXPECT_EQ(server.metrics().NumCompleted(), static_cast<size_t>(kRequests));
-      EXPECT_EQ(server.metrics().NumDropped(), 0u);
-    }
-  }
-}
-
 // --- (2) Steal policy, deterministically in virtual time --------------------
 
 TEST(ShardingTest, SkewedLoadTriggersStealsDeterministically) {

@@ -200,137 +200,6 @@ TEST(SimEngineTest, SaturationBacklogGrows) {
   EXPECT_GT(engine.NumActiveRequests(), 0u);
 }
 
-// ---------- SLA-aware batch formation in virtual time ----------
-
-// Flat cost curve (100us at any batch): per-item cost halves with every
-// doubling, so the efficiency test always favours deferring a sub-max
-// batch, and every launch instant computes to a round number.
-CostModel FlatCostModel(const CellRegistry& registry) {
-  CostModel model;
-  for (CellTypeId t = 0; t < registry.NumTypes(); ++t) {
-    model.SetCurve(t, CostCurve({{1, 100.0}, {1024, 100.0}}));
-  }
-  return model;
-}
-
-TEST(SimEngineTest, SlackDeferredBatchLaunchesExactlyAtBudgetEnd) {
-  // Request 1 (no deadline, infinite slack) arrives at t=0 and is
-  // deferred; request 2 joins at t=20. The starvation budget (50us past
-  // first deferral) ends at exactly t=50: the batch of 2 launches there —
-  // not an event earlier or later — and both complete at 50 + 100 = 150.
-  // Greedy would have launched request 1 alone at t=0 (completing at 100)
-  // and request 2 at t=100 (completing at 200).
-  TinyLstmFixture fix;
-  fix.registry.SetMaxBatch(fix.model.cell_type(), 4);
-  const CostModel cost = FlatCostModel(fix.registry);
-  SimEngineOptions options;
-  options.batch_policy.slack_batching = true;
-  options.batch_policy.max_delay_micros = 50.0;
-  options.enable_tracing = true;
-  SimEngine engine(&fix.registry, &cost, options);
-  engine.SubmitAt(0.0, fix.model.Unfold(1));
-  engine.SubmitAt(20.0, fix.model.Unfold(1));
-  engine.Run();
-
-  ASSERT_EQ(engine.metrics().NumCompleted(), 2u);
-  std::map<RequestId, double> done;
-  for (const RequestRecord& r : engine.metrics().records()) {
-    done[r.id] = r.completion_micros;
-  }
-  EXPECT_DOUBLE_EQ(done[1], 150.0);
-  EXPECT_DOUBLE_EQ(done[2], 150.0);
-  EXPECT_EQ(engine.scheduler().TotalDelayedLaunches(), 1);
-  EXPECT_DOUBLE_EQ(engine.scheduler().TotalBatchDelayMicros(), 50.0);
-  EXPECT_EQ(engine.trace().Count(TraceEventKind::kBatchDelayed), 1);
-}
-
-TEST(SimEngineTest, SlackDeadlineDrivenLaunchInstantIsExact) {
-  // One request, SLA deadline 150us, step cost 100us, height 1: the
-  // computed launch instant is arrival + 150 - 1*100 = 50 — tighter than
-  // the starvation budget (arrival + 500). The sim must launch at exactly
-  // t=50 and complete at exactly the deadline, t=150.
-  TinyLstmFixture fix;
-  fix.registry.SetMaxBatch(fix.model.cell_type(), 4);
-  const CostModel cost = FlatCostModel(fix.registry);
-  SimEngineOptions options;
-  options.batch_policy.slack_batching = true;
-  options.batch_policy.max_delay_micros = 500.0;
-  SimEngine engine(&fix.registry, &cost, options);
-  engine.SubmitAt(0.0, fix.model.Unfold(1),
-                  SubmitOptions{.deadline_micros = 150.0});
-  engine.Run();
-
-  ASSERT_EQ(engine.metrics().NumCompleted(), 1u);
-  std::map<RequestId, double> done;
-  for (const RequestRecord& r : engine.metrics().records()) {
-    done[r.id] = r.completion_micros;
-  }
-  EXPECT_DOUBLE_EQ(done[1], 150.0);
-  EXPECT_EQ(engine.metrics().NumDropped(), 0u);
-  EXPECT_EQ(engine.scheduler().TotalDelayedLaunches(), 1);
-  // Deferred from arrival (0) to launch (50).
-  EXPECT_DOUBLE_EQ(engine.scheduler().TotalBatchDelayMicros(), 50.0);
-}
-
-TEST(SimEngineTest, SlackDeadlineAccountsForRemainingChainHeight) {
-  // A 3-step chain with deadline 500: remaining critical path is 3 steps
-  // of 100us, so the first launch happens at 500 - 300 = 200 and the chain
-  // finishes exactly at its deadline. The later steps have zero slack and
-  // launch back-to-back.
-  TinyLstmFixture fix;
-  fix.registry.SetMaxBatch(fix.model.cell_type(), 4);
-  const CostModel cost = FlatCostModel(fix.registry);
-  SimEngineOptions options;
-  options.batch_policy.slack_batching = true;
-  options.batch_policy.max_delay_micros = 5000.0;
-  options.scheduler.max_tasks_to_submit = 1;
-  SimEngine engine(&fix.registry, &cost, options);
-  engine.SubmitAt(0.0, fix.model.Unfold(3),
-                  SubmitOptions{.deadline_micros = 500.0});
-  engine.Run();
-
-  ASSERT_EQ(engine.metrics().NumCompleted(), 1u);
-  EXPECT_DOUBLE_EQ(engine.metrics().records()[0].completion_micros, 500.0);
-  EXPECT_EQ(engine.metrics().NumDropped(), 0u);
-}
-
-TEST(SimEngineTest, SlackOffAndZeroDelayReproduceGreedyTimeline) {
-  // The bitwise-off guarantee in virtual time: the same workload run (a)
-  // with the policy off and (b) with slack_batching on but max_delay 0
-  // produces the identical greedy timeline, to the last decimal.
-  const auto run_once = [](bool slack, double max_delay,
-                           std::map<RequestId, double>* completions) {
-    TinyLstmFixture fix;
-    fix.registry.SetMaxBatch(fix.model.cell_type(), 4);
-    const CostModel cost = FlatCostModel(fix.registry);
-    SimEngineOptions options;
-    options.batch_policy.slack_batching = slack;
-    options.batch_policy.max_delay_micros = max_delay;
-    options.scheduler.max_tasks_to_submit = 1;
-    SimEngine engine(&fix.registry, &cost, options);
-    const int lengths[6] = {2, 3, 1, 5, 4, 2};
-    const double arrivals[6] = {0, 0, 50, 120, 120, 260};
-    for (int i = 0; i < 6; ++i) {
-      engine.SubmitAt(arrivals[i], fix.model.Unfold(lengths[i]));
-    }
-    engine.Run();
-    EXPECT_EQ(engine.metrics().NumCompleted(), 6u);
-    EXPECT_EQ(engine.scheduler().TotalDelayedLaunches(), 0);
-    for (const RequestRecord& r : engine.metrics().records()) {
-      (*completions)[r.id] = r.completion_micros;
-    }
-  };
-
-  std::map<RequestId, double> off, zero_delay;
-  run_once(false, 2000.0, &off);
-  run_once(true, 0.0, &zero_delay);
-  ASSERT_EQ(off.size(), 6u);
-  ASSERT_EQ(zero_delay.size(), 6u);
-  for (const auto& [id, t] : off) {
-    EXPECT_DOUBLE_EQ(zero_delay.at(id), t) << "request " << id;
-  }
-}
-
 TEST(SimEngineTest, MetricsThroughputWindow) {
   TinyLstmFixture fix;
   const CostModel cost = UnitCostModel(fix.registry);

@@ -8,7 +8,6 @@
 
 #include "src/core/sync_engine.h"
 #include "src/graph/executor.h"
-#include "src/runtime/cost_model.h"
 #include "tests/test_models.h"
 
 namespace batchmaker {
@@ -209,64 +208,6 @@ TEST(SyncEngineDeathTest, TakeResponseBeforeCompletionAborts) {
   TinyLstmFixture fix;
   SyncEngine engine(&fix.registry);
   EXPECT_DEATH(engine.TakeResponse(99), "not completed");
-}
-
-// --- Stall recovery ---------------------------------------------------------
-// Regression for the "scheduler stalled with active requests" BM_CHECK that
-// used to abort the process: a stalled scheduler now fails the stuck
-// requests with kFailed (plus a logged diagnostic of the nodes that never
-// became ready) and RunToCompletion returns normally.
-
-TEST(SyncEngineTest, StalledSchedulerFailsRequestsInsteadOfAborting) {
-  TinyLstmFixture fix;
-  SyncEngine engine(&fix.registry);
-  // slack_batching defers a sub-maximal batch while doubling it still cuts
-  // per-item cost. Under this engine's clock, "now" is pinned at 0, so the
-  // starvation budget never elapses and the flat UnitCostCurve (per-item
-  // cost halves with every doubling) defers the type forever: Schedule
-  // yields no work while the requests stay active — a guaranteed stall.
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), UnitCostCurve());
-  BatchPolicyOptions policy;
-  policy.slack_batching = true;
-  engine.set_batch_policy(policy, &cost);
-
-  Rng data_rng(500);
-  std::vector<RequestId> ids;
-  for (int i = 0; i < 3; ++i) {
-    std::vector<Tensor> xs = {Tensor::RandomUniform(Shape{1, 4}, 1.0f, &data_rng)};
-    ids.push_back(engine.Submit(fix.model.Unfold(1), MakeChainExternals(xs),
-                                {ValueRef::Output(0, 0)}));
-  }
-  engine.RunToCompletion();  // must return (previously: BM_CHECK abort)
-  EXPECT_EQ(engine.TasksExecuted(), 0);
-  for (const RequestId id : ids) {
-    const Response res = engine.TakeResponse(id);
-    EXPECT_EQ(res.status, RequestStatus::kFailed);
-    EXPECT_TRUE(res.outputs.empty());
-  }
-}
-
-TEST(SyncEngineTest, SlackPolicyWithZeroDelayIsGreedyAndCompletes) {
-  // max_delay_micros = 0 reproduces the greedy policy byte-for-byte even
-  // with slack_batching set: no deferral, no stall, results identical.
-  TinyLstmFixture fix;
-  SyncEngine engine(&fix.registry);
-  CostModel cost;
-  cost.SetCurve(fix.model.cell_type(), UnitCostCurve());
-  BatchPolicyOptions policy;
-  policy.slack_batching = true;
-  policy.max_delay_micros = 0.0;
-  engine.set_batch_policy(policy, &cost);
-
-  Rng data_rng(501);
-  std::vector<Tensor> xs = {Tensor::RandomUniform(Shape{1, 4}, 1.0f, &data_rng)};
-  const RequestId id = engine.Submit(fix.model.Unfold(1), MakeChainExternals(xs),
-                                     {ValueRef::Output(0, 0)});
-  engine.RunToCompletion();
-  const Response res = engine.TakeResponse(id);
-  EXPECT_EQ(res.status, RequestStatus::kOk);
-  ASSERT_EQ(res.outputs.size(), 1u);
 }
 
 }  // namespace

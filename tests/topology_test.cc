@@ -44,8 +44,7 @@ TEST(ParseCpuListTest, DeduplicatesOverlaps) {
 }
 
 TEST(NumaPolicyTest, NamesRoundTrip) {
-  for (const NumaPolicy policy :
-       {NumaPolicy::kNone, NumaPolicy::kPin, NumaPolicy::kPinReplicate}) {
+  for (const NumaPolicy policy : {NumaPolicy::kNone, NumaPolicy::kPin}) {
     NumaPolicy parsed;
     ASSERT_TRUE(ParseNumaPolicy(NumaPolicyName(policy), &parsed));
     EXPECT_EQ(parsed, policy);

@@ -26,11 +26,7 @@ comparisons: committed baselines are recorded on adequately sized
 hosts, so absolute latency numbers from an undersized host are
 time-sharing artifacts, not regressions (the unmodified seed fails
 them just the same). A skipped run still validates both files and
-baseline row coverage; it just doesn't compare numbers. Similarly,
---min-nodes N skips (loudly) every --assert-ratio check when the current
-run's "topology" header (written by bench_common.h) reports fewer NUMA
-nodes — the NUMA placement speedup gate only means something on a
-multi-socket host. A run without a topology header counts as 1 node.
+baseline row coverage; it just doesn't compare numbers.
 
 The CI perf-smoke job runs:
 
@@ -75,7 +71,7 @@ def load_rows(path, keys):
         if key in rows:
             sys.exit(f"error: {path}: duplicate row for {dict(zip(keys, key))}")
         rows[key] = row
-    return doc["bench"], rows, doc
+    return doc["bench"], rows
 
 
 def parse_metrics(specs, default_threshold):
@@ -168,7 +164,7 @@ def select_row(rows, selector, spec_label):
     return matches[0]
 
 
-def check_ratios(ratios, cur, min_cores, min_nodes=0, cur_nodes=1):
+def check_ratios(ratios, cur, min_cores):
     cores = os.cpu_count() or 1
     if min_cores and cores < min_cores:
         for metric, num_sel, den_sel, min_ratio, _ in ratios:
@@ -177,14 +173,6 @@ def check_ratios(ratios, cur, min_cores, min_nodes=0, cur_nodes=1):
                   f"below --min-cores {min_cores}. The scaling gate only "
                   "means something with enough cores to scale onto; run it "
                   "on a larger machine.")
-        return False
-    if min_nodes and cur_nodes < min_nodes:
-        for metric, num_sel, den_sel, min_ratio, _ in ratios:
-            print(f"SKIPPED: --assert-ratio {metric} >= {min_ratio}x "
-                  f"({num_sel} vs {den_sel}): the current run reports "
-                  f"{cur_nodes} NUMA node(s) in its topology header, below "
-                  f"--min-nodes {min_nodes}. NUMA placement gates only mean "
-                  "something on a multi-socket host; run it on one.")
         return False
     failed = False
     for metric, num_sel, den_sel, min_ratio, require_kernel in ratios:
@@ -236,16 +224,12 @@ def main():
                         help="skip --assert-ratio checks and baseline metric "
                              "comparisons (loudly) when os.cpu_count() is "
                              "below this")
-    parser.add_argument("--min-nodes", type=int, default=0,
-                        help="skip --assert-ratio checks (loudly) when the "
-                             "current run's topology header reports fewer "
-                             "NUMA nodes than this")
     args = parser.parse_args()
 
     metrics = parse_metrics(args.metric or ["p50_ms"], args.threshold)
     keys = [k for k in args.keys.split(",") if k]
-    base_name, base, _ = load_rows(args.baseline, keys)
-    cur_name, cur, cur_doc = load_rows(args.current, keys)
+    base_name, base = load_rows(args.baseline, keys)
+    cur_name, cur = load_rows(args.current, keys)
     if base_name != cur_name:
         sys.exit(f"error: bench name mismatch: baseline={base_name!r} "
                  f"current={cur_name!r}")
@@ -286,9 +270,8 @@ def main():
                   f"({delta:+7.1%})")
 
     if args.assert_ratio:
-        cur_nodes = cur_doc.get("topology", {}).get("nodes", 1)
         failed |= check_ratios(parse_ratios(args.assert_ratio), cur,
-                               args.min_cores, args.min_nodes, cur_nodes)
+                               args.min_cores)
 
     if failed:
         print("regression detected", file=sys.stderr)
