@@ -206,7 +206,7 @@ struct BenchRecord {
   int64_t batch = 0;
   double ns_per_iter = 0.0;
   double gflops = 0.0;       // 0 when FLOP/s is not meaningful for the op
-  std::string precision;     // fp32/bf16/int8; empty = fp32 (pre-existing rows)
+  std::string precision;     // fp32/int8; empty = fp32 (pre-existing rows)
   std::string kernel;        // dispatched GEMM kernel name, e.g. "avx512_vnni_int8"
 };
 

@@ -9,8 +9,8 @@
 // range to keep runtime sane on a small machine. Beside every `lstm_step`
 // row sits an `lstm_gemm` row: the gate GEMM alone, as the executor calls
 // it — the same weight packed at the same precision, the bias in the store
-// epilogue, and at fp32 split-K straight from x and h (bf16 and int8 read
-// the concatenated xh) — so each pair of rows gives the GEMM's share of the
+// epilogue, and at fp32 split-K straight from x and h (int8 reads the
+// concatenated xh) — so each pair of rows gives the GEMM's share of the
 // step.
 
 #include <algorithm>
@@ -76,18 +76,6 @@ std::pair<double, double> MeasureStepAndGemmNs(const std::function<void()>& step
   return {step_ns[2], gemm_ns[2]};
 }
 
-PackedMatrix PackAs(const Tensor& weight, Precision prec) {
-  switch (prec) {
-    case Precision::kBf16:
-      return PackedMatrix::PackBf16(weight);
-    case Precision::kInt8:
-      return PackedMatrix::PackInt8(weight);
-    case Precision::kF32:
-      break;
-  }
-  return PackedMatrix::Pack(weight);
-}
-
 void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
   char title[160];
   std::snprintf(title, sizeof(title),
@@ -101,16 +89,18 @@ void MeasureCpuLstm(int64_t hidden, std::vector<bench::BenchRecord>* records) {
   const GateParams gate = FindGateParams(*def);
   const std::string shape = "h=" + std::to_string(hidden);
 
-  // Precision sweep: the same cell executed fp32 / bf16 / int8 (per-CellDef
-  // precision, quantized weight packs built once at executor construction).
-  for (const Precision prec :
-       {Precision::kF32, Precision::kBf16, Precision::kInt8}) {
-    const CellExecutor exec(def.get(), prec);
-    const PackedMatrix gemm_weight = PackAs(*gate.weight, prec);
+  // Precision sweep: the same cell executed fp32 / int8 (the engine-wide
+  // precision rides in the ExecContext; the int8 packs are built up front).
+  for (const Precision prec : {Precision::kF32, Precision::kInt8}) {
+    const CellExecutor exec(def.get());
+    exec.EnsurePacked(prec);
+    const PackedMatrix gemm_weight = prec == Precision::kInt8
+                                         ? PackedMatrix::PackInt8(*gate.weight)
+                                         : PackedMatrix::Pack(*gate.weight);
     // Serving configuration: intermediates come from a recycled arena, as
     // in the server's workers.
     TensorArena arena;
-    const ExecContext ctx{/*pool=*/nullptr, &arena};
+    const ExecContext ctx{/*pool=*/nullptr, &arena, prec};
 
     std::printf("-- precision=%s kernel=%s\n", PrecisionName(prec),
                 GemmKernelName(prec));

@@ -16,14 +16,14 @@
 // tasks_per_sec).
 //
 // Usage: fig07_lstm_throughput_latency [--smoke|--real-only] [--out PATH]
-//                                      [--precision fp32|bf16|int8]
+//                                      [--precision fp32|int8]
 //   --smoke      skip the simulated sweeps and run a single short low-rate
 //                real-compute point per depth (the CI perf-smoke job)
 //   --real-only  skip the simulated sweeps, run the full real-compute sweep
 //   --out        where to write the JSON rows (default BENCH_fig07.json)
 //   --precision  run the real-compute rows at one precision and restrict
 //                the closed-loop precision sweep to it (default: fp32 rows
-//                plus a fp32/bf16/int8 sweep)
+//                plus a fp32/int8 sweep)
 
 #include <cstring>
 #include <thread>
@@ -289,7 +289,7 @@ Fig07Row PrecisionThroughputPoint(Precision precision) {
 std::vector<Fig07Row> PrecisionSweep(const std::vector<Precision>& precisions) {
   bench::PrintHeader(
       "Figure 7 (precision): closed-loop compute-bound, h=256, 1 worker, "
-      "fp32/bf16/int8");
+      "fp32/int8");
   std::printf("%10s %18s %10s %14s %12s %8s\n", "precision", "kernel", "p50(ms)",
               "tasks/sec", "achieved", "tasks");
   std::vector<Fig07Row> rows;
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--precision") == 0 && i + 1 < argc) {
       if (!ParsePrecision(argv[++i], &sweep_precision)) {
-        std::fprintf(stderr, "unknown --precision %s (fp32|bf16|int8)\n", argv[i]);
+        std::fprintf(stderr, "unknown --precision %s (fp32|int8)\n", argv[i]);
         return 1;
       }
       precision_forced = true;
@@ -378,8 +378,7 @@ int main(int argc, char** argv) {
   const std::vector<Precision> sweep_precisions =
       precision_forced
           ? std::vector<Precision>{sweep_precision}
-          : std::vector<Precision>{Precision::kF32, Precision::kBf16,
-                                   Precision::kInt8};
+          : std::vector<Precision>{Precision::kF32, Precision::kInt8};
 
   if (smoke) {
     // CI perf-smoke: one short, low-rate real-compute point per depth (low

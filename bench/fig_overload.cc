@@ -3,7 +3,7 @@
 //
 // The paper's serving setting (§2, §7.2) assumes requests are dropped once
 // their latency SLO cannot be met; this bench demonstrates the server-side
-// mechanism. A short calibration burst measures this machine's serving
+// mechanism. Short calibration bursts measure this machine's serving
 // capacity, then Poisson arrivals are offered at 0.5x, 1x and 2x that
 // capacity:
 //   * shedding off: past saturation the queue grows without bound for the
@@ -19,6 +19,7 @@
 //   --smoke  short runs at the overload points only (the CI job)
 //   --out    where to write the JSON rows (default BENCH_overload.json)
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -31,6 +32,9 @@ namespace {
 constexpr int64_t kHidden = 256;
 constexpr int kMaxLen = 20;
 constexpr double kQueueTimeoutMicros = 25000.0;  // 25ms SLO when shedding is on
+// One burst's rate swings with host noise (1.8x between bursts on a 4-vCPU
+// host), so capacity is the median of this many.
+constexpr int kCalibrationBursts = 7;
 
 struct OverloadRow {
   double offered_rps = 0.0;
@@ -78,10 +82,9 @@ ServerOptions MakeOptions(bool shedding) {
   return options;
 }
 
-// Measures this machine's serving capacity: a closed burst of requests,
-// served at maximum batch size. An upper bound on the sustainable open-loop
-// rate, so 2x this is safely past saturation.
-double CalibrateCapacityRps(LstmModel& model, CellRegistry& registry) {
+// Request rate of one closed burst of requests, served at maximum batch
+// size: an upper bound on the sustainable open-loop rate.
+double BurstRps(LstmModel& model, CellRegistry& registry) {
   constexpr int kBurst = 64;
   Server server(&registry, MakeOptions(/*shedding=*/false));
   server.Start();
@@ -103,6 +106,23 @@ double CalibrateCapacityRps(LstmModel& model, CellRegistry& registry) {
   const double span_s =
       (records.back().completion_micros - records.front().arrival_micros) / 1e6;
   return static_cast<double>(records.size()) / span_s;
+}
+
+struct Capacity {
+  double median_rps = 0.0;
+  double min_rps = 0.0;
+  double max_rps = 0.0;
+};
+
+// This machine's serving capacity over kCalibrationBursts bursts; 2x the
+// median is safely past saturation.
+Capacity CalibrateCapacity(LstmModel& model, CellRegistry& registry) {
+  std::vector<double> rps;
+  for (int i = 0; i < kCalibrationBursts; ++i) {
+    rps.push_back(BurstRps(model, registry));
+  }
+  std::sort(rps.begin(), rps.end());
+  return {rps[kCalibrationBursts / 2], rps.front(), rps.back()};
 }
 
 OverloadRow RunPoint(LstmModel& model, CellRegistry& registry, double rate,
@@ -156,10 +176,12 @@ std::vector<OverloadRow> Sweep(const std::vector<double>& load_factors,
   Rng weight_rng(1);
   LstmModel model(&registry, LstmSpec{.input_dim = kHidden, .hidden = kHidden},
                   &weight_rng);
-  const double capacity = CalibrateCapacityRps(model, registry);
+  const Capacity calibrated = CalibrateCapacity(model, registry);
+  const double capacity = calibrated.median_rps;
   bench::PrintHeader("Overload: goodput and latency vs offered rate, 1 worker, h=" +
                      std::to_string(kHidden));
-  std::printf("calibrated burst capacity: %.0f req/s\n", capacity);
+  std::printf("calibrated burst capacity: %.0f req/s (median of %d bursts; min %.0f, max %.0f)\n",
+              capacity, kCalibrationBursts, calibrated.min_rps, calibrated.max_rps);
   std::printf("%10s %12s %6s %14s %10s %10s %8s %8s\n", "load", "offered(r/s)",
               "shed?", "goodput(r/s)", "p50(ms)", "p99(ms)", "done", "dropped");
   std::vector<OverloadRow> rows;

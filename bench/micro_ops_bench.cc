@@ -167,7 +167,6 @@ void EmitGemmJson() {
     const Tensor a = Tensor::RandomUniform(Shape{gc.m, gc.k}, 1.0f, &rng);
     const Tensor b = Tensor::RandomUniform(Shape{gc.k, gc.n}, 1.0f, &rng);
     const PackedMatrix packed = PackedMatrix::Pack(b);
-    const PackedMatrix packed_bf16 = PackedMatrix::PackBf16(b);
     const PackedMatrix packed_int8 = PackedMatrix::PackInt8(b);
     const double flop = 2.0 * static_cast<double>(gc.m) * static_cast<double>(gc.k) *
                         static_cast<double>(gc.n);
@@ -197,12 +196,8 @@ void EmitGemmJson() {
         [&] { benchmark::DoNotOptimize(MatMulPacked(a, packed, &pool)); });
     // The low-precision serving path: per-weight quantized pack cached, A
     // quantized per call (as CellExecutor does).
-    add("gemm_packed", Precision::kBf16,
-        [&] { benchmark::DoNotOptimize(MatMulPacked(a, packed_bf16)); });
     add("gemm_packed", Precision::kInt8,
         [&] { benchmark::DoNotOptimize(MatMulPacked(a, packed_int8)); });
-    add("gemm_packed_pool4", Precision::kBf16,
-        [&] { benchmark::DoNotOptimize(MatMulPacked(a, packed_bf16, &pool)); });
     add("gemm_packed_pool4", Precision::kInt8,
         [&] { benchmark::DoNotOptimize(MatMulPacked(a, packed_int8, &pool)); });
   };
@@ -213,7 +208,7 @@ void EmitGemmJson() {
   }
   bench::WriteBenchJson("BENCH_gemm.json", "micro_ops_gemm", records);
   std::printf("simd kernel: %s\n", GemmUsesSimd() ? "yes" : "no (scalar fallback)");
-  for (Precision p : {Precision::kF32, Precision::kBf16, Precision::kInt8}) {
+  for (Precision p : {Precision::kF32, Precision::kInt8}) {
     std::printf("%s kernel: %s\n", PrecisionName(p), GemmKernelName(p));
   }
 }

@@ -34,7 +34,7 @@ GraphMergeOptions GraphMergeOptions::DyNet() {
 GraphMergeSystem::GraphMergeSystem(GraphMergeOptions options, std::string name)
     : options_(std::move(options)), name_(std::move(name)) {
   BM_CHECK_GT(options_.max_batch_requests, 0);
-  pool_ = std::make_unique<SimWorkerPool>(1, &events_, &backend_);
+  pool_ = std::make_unique<SimWorkerPool>(1, &events_, /*cost_model=*/nullptr);
   pool_->set_on_task_start([this](const BatchedTask& task) {
     const auto it = inflight_.find(task.id);
     BM_CHECK(it != inflight_.end());

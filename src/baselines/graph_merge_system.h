@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/device/sim_backend.h"
 #include "src/runtime/cost_model.h"
 #include "src/runtime/event_queue.h"
 #include "src/runtime/sim_worker.h"
@@ -76,9 +75,7 @@ class GraphMergeSystem : public ServingSystem {
   GraphMergeOptions options_;
   std::string name_;
   EventQueue events_;
-  CostModel unused_cost_model_;
-  SimBackend backend_{&unused_cost_model_};  // tasks carry explicit costs
-  std::unique_ptr<SimWorkerPool> pool_;  // 1 GPU worker
+  std::unique_ptr<SimWorkerPool> pool_;  // 1 GPU worker; tasks carry explicit costs
   MetricsCollector metrics_;
 
   std::deque<Pending> pending_;

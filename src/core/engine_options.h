@@ -80,11 +80,10 @@ struct HealthOptions {
 // through one code path.
 struct EngineOptions {
   // Execution device, resolved through DeviceRegistry (DESIGN.md "Device
-  // backend API"). Empty selects the engine's native default: "cpu"
-  // (real compute) on the Server, "sim" (virtual-time cost model) on
-  // SimEngine. "null" completes every task with zero outputs after
-  // null_latency_micros — a compute-free harness for scheduler and
-  // pipeline studies.
+  // backend API"; Server only — the simulator prices tasks with its
+  // CostModel). Empty selects "cpu" (real compute). "null" completes every
+  // task with zero outputs after null_latency_micros — a compute-free
+  // harness for scheduler and pipeline studies.
   std::string backend;
   // NullBackend only: fixed per-task completion latency, microseconds.
   double null_latency_micros = 0.0;
@@ -113,12 +112,10 @@ struct EngineOptions {
   // disabled recorder costs one relaxed atomic load per would-be event.
   bool enable_tracing = false;
   AdmissionOptions admission;
-  // GEMM precision for every pre-packed MatMul weight (see DESIGN.md
-  // "Low-precision execution"): fp32 (default — byte-identical to the
-  // pre-knob behaviour), bf16, or int8. A per-cell
-  // CellRegistry::SetPrecision override wins over this engine-wide value.
-  // Kernel selection within the precision is a separate, automatic axis
-  // (cpuid dispatch; see GemmKernelName).
+  // GEMM precision for every pre-packed MatMul weight of every cell (see
+  // DESIGN.md "Low-precision execution"): fp32 (default — byte-identical to
+  // the pre-knob behaviour) or int8. Kernel selection within the precision
+  // is a separate, automatic axis (cpuid dispatch; see GemmKernelName).
   Precision precision = Precision::kF32;
   // NUMA-aware placement (DESIGN.md "NUMA-aware placement"; Server only —
   // the simulator has no threads to place). kNone (default) skips topology

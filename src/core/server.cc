@@ -210,21 +210,10 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   BM_CHECK(backend_ != nullptr)
       << "unknown or unavailable device backend '" << backend_name << "'";
   caps_ = backend_->caps();
-  BM_CHECK(!caps_.virtual_time)
-      << "backend '" << backend_name
-      << "' models virtual time; drive it through SimEngine, not Server";
-  BM_CHECK(caps_.supported_precisions[static_cast<int>(options_.precision)])
-      << "backend '" << backend_name << "' does not support the requested "
-      << "GEMM precision";
   if (options_.numa_policy != NumaPolicy::kNone && !caps_.supports_numa_pinning) {
     BM_LOG(Warning) << "backend '" << backend_name << "' does not support "
                     << "NUMA pinning; degrading numa_policy to none";
     options_.numa_policy = NumaPolicy::kNone;
-  }
-  if (options_.health.health_watchdog && !caps_.supports_watchdog) {
-    BM_LOG(Warning) << "backend '" << backend_name << "' execution makes no "
-                    << "heartbeat-visible progress; disabling health watchdog";
-    options_.health.health_watchdog = false;
   }
   if (options_.enable_tracing) {
     trace_.Enable();
@@ -237,9 +226,6 @@ Server::Server(const CellRegistry* registry, ServerOptions options)
   health_on_ = options_.health.health_watchdog;
   if (health_on_) {
     online_cost_model_ = std::make_unique<OnlineCostModel>();
-    // Key the calibrated curves by precision: exec spans measured at int8
-    // must never re-fit the fp32 curve (or vice versa).
-    online_cost_model_->set_active_precision(options_.precision);
     online_cost_model_->set_on_refit(
         [this](CellTypeId type, int num_anchors, int64_t observations) {
           trace_.CostModelRefit(type, num_anchors, observations);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/device/device_registry.h"
 #include "src/util/logging.h"
 
 namespace batchmaker {
@@ -13,21 +12,6 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
     : trace_([this] { return events_.Now(); }) {
   BM_CHECK(registry != nullptr);
   BM_CHECK(cost_model != nullptr);
-  // Resolve the virtual-time device (DESIGN.md "Device backend API"):
-  // empty selects "sim", the CostModel-pricing backend. Any registered
-  // backend works as long as it models virtual time.
-  DeviceConfig device_config;
-  device_config.registry = registry;
-  device_config.precision = options.precision;
-  device_config.cost_model = cost_model;
-  const std::string backend_name =
-      options.backend.empty() ? "sim" : options.backend;
-  backend_ = DeviceRegistry::Instance().Create(backend_name, device_config);
-  BM_CHECK(backend_ != nullptr)
-      << "unknown or unavailable device backend '" << backend_name << "'";
-  BM_CHECK(backend_->caps().virtual_time)
-      << "backend '" << backend_name
-      << "' executes real compute; drive it through Server, not SimEngine";
   BM_CHECK_GT(options.pipeline_depth, 0);
   BM_CHECK_GT(options.num_workers, 0);
   BM_CHECK_GT(options.num_shards, 0);
@@ -68,8 +52,7 @@ SimEngine::SimEngine(const CellRegistry* registry, const CostModel* cost_model,
                                                   std::move(driver), &metrics_, &trace_));
   }
   wakes_.resize(static_cast<size_t>(num_shards_));
-  pool_ = std::make_unique<SimWorkerPool>(options.num_workers, &events_,
-                                          backend_.get());
+  pool_ = std::make_unique<SimWorkerPool>(options.num_workers, &events_, cost_model);
 
   pool_->set_on_task_start([this](const BatchedTask& task) {
     // A request with an entry in flight is never finalized, so every

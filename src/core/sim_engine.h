@@ -27,7 +27,6 @@
 #include "src/core/metrics.h"
 #include "src/core/scheduler.h"
 #include "src/core/shard_core.h"
-#include "src/device/device_backend.h"
 #include "src/graph/cell_registry.h"
 #include "src/obs/trace.h"
 #include "src/runtime/cost_model.h"
@@ -84,10 +83,6 @@ class SimEngine {
   const TraceRecorder& trace() const { return trace_; }
   TraceRecorder& trace() { return trace_; }
 
-  // The virtual-time device backend pricing task durations (see
-  // EngineOptions::backend; default "sim" wraps the engine's CostModel).
-  const DeviceBackend* device() const { return backend_.get(); }
-
  private:
   // The one live wake event of a shard: armed at `at` (+inf = none);
   // events of older generations were superseded and do nothing.
@@ -103,9 +98,6 @@ class SimEngine {
   void Dispatch(ShardCore& core);
   ShardCore& ShardOfWorker(int worker);
 
-  // Virtual-time device (caps().virtual_time); SimWorkerPool prices every
-  // task duration and migration penalty through it.
-  std::unique_ptr<DeviceBackend> backend_;
   int num_shards_ = 1;
   EventQueue events_;
   MetricsCollector metrics_;

@@ -61,8 +61,7 @@ class SyncEngine {
   TraceRecorder& trace() { return trace_; }
 
   // Engine-wide GEMM precision for subsequent task execution (same knob as
-  // EngineOptions::precision on the Server; per-cell
-  // CellRegistry::SetPrecision overrides win). Default fp32 keeps the
+  // EngineOptions::precision on the Server). Default fp32 keeps the
   // bitwise reference behaviour.
   void set_precision(Precision precision) { precision_ = precision; }
   Precision precision() const { return precision_; }

@@ -80,10 +80,6 @@ CpuBackend::CpuBackend(const CellRegistry* registry, Precision precision)
   caps_.real_compute = true;
   caps_.requires_gather = true;
   caps_.supports_numa_pinning = true;
-  caps_.supports_watchdog = true;
-  for (bool& p : caps_.supported_precisions) {
-    p = true;  // runtime cpuid dispatch picks the kernel tier
-  }
 }
 
 std::unique_ptr<DeviceArena> CpuBackend::CreateArena() {

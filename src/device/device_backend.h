@@ -30,9 +30,8 @@
 //     thread, one task at a time in stream order: the engine gathers,
 //     submits and scatters task t before it gathers task t+1.
 //
-// The header is dependency-light by design (tensor + runtime + graph
-// layers only, RequestState forward-declared) so the virtual-time worker
-// pool in src/runtime/ can price durations through the same interface.
+// The header is dependency-light by design: tensor + runtime + graph layers
+// only, RequestState forward-declared.
 
 #ifndef SRC_DEVICE_DEVICE_BACKEND_H_
 #define SRC_DEVICE_DEVICE_BACKEND_H_
@@ -53,7 +52,6 @@
 namespace batchmaker {
 
 struct RequestState;  // src/core/request.h; only passed through by pointer
-class CostModel;      // src/runtime/cost_model.h; virtual-time backends only
 
 // The gathered per-slot input batches of one task, produced by the gather
 // stage and consumed by DeviceQueue::Submit. When gathered into a
@@ -65,15 +63,11 @@ struct GatheredBatch {
 };
 
 // Per-backend capability flags, consumed by the engines instead of
-// CPU-specific assumptions: the Server gates NUMA placement and the health
-// watchdog, and skips the gather stage entirely for backends that stage
-// nothing.
+// CPU-specific assumptions: the Server gates NUMA placement, and skips the
+// gather stage entirely for backends that stage nothing.
 struct DeviceCaps {
   // Executes real kernels on real tensors (outputs are meaningful data).
   bool real_compute = false;
-  // Prices task durations in virtual time instead of executing (SimBackend).
-  // Virtual-time backends are driven by SimEngine, never by the Server.
-  bool virtual_time = false;
   // Requires batched input rows gathered into a DeviceArena before Submit.
   // When false the Server skips the gather stage (poison bookkeeping still
   // runs — stream-order invariants are backend-agnostic).
@@ -81,11 +75,6 @@ struct DeviceCaps {
   // Worker threads may be pinned to NUMA nodes and benefit from node-local
   // staging/scratch placement and weight replicas.
   bool supports_numa_pinning = false;
-  // Execution makes heartbeat-visible progress, so the health watchdog's
-  // hang classification is meaningful.
-  bool supports_watchdog = false;
-  // GEMM precisions this backend can execute, indexed by Precision.
-  bool supported_precisions[kNumPrecisions] = {false, false, false};
 };
 
 // The completed result of one submitted task. DeviceQueue::Submit runs the
@@ -164,19 +153,17 @@ class DeviceQueue {
 // apply).
 struct DeviceConfig {
   const CellRegistry* registry = nullptr;
-  // Engine-wide GEMM precision (per-cell overrides win inside the backend).
+  // Engine-wide GEMM precision.
   Precision precision = Precision::kF32;
-  // Virtual-time pricing source (SimBackend; null otherwise).
-  const CostModel* cost_model = nullptr;
   // NullBackend: fixed latency of each Submit, micros (0 = returns at
   // once).
   double null_latency_micros = 0.0;
 };
 
-// The backend interface proper: capabilities + factories + the two
-// stages that do not belong to a single queue. All default implementations
-// are inline so implementing a virtual-time-only backend (or linking the
-// interface from src/runtime/) pulls in no extra objects.
+// The backend interface proper: capabilities + factories + the gather
+// stage, which does not belong to a single queue. The default
+// implementations are inline, so implementing a backend pulls in no extra
+// objects.
 class DeviceBackend {
  public:
   virtual ~DeviceBackend() = default;
@@ -208,17 +195,6 @@ class DeviceBackend {
     (void)staging;
     (void)poisoned;
   }
-
-  // ---- Virtual-time pricing (caps().virtual_time backends) ---------------
-  // Duration of one batched task, micros; < 0 = this backend cannot price
-  // tasks (the virtual-time worker pool refuses to run on it).
-  virtual double EstimateTaskMicros(CellTypeId type, int batch) const {
-    (void)type;
-    (void)batch;
-    return -1.0;
-  }
-  // Per-migrated-subgraph state-copy penalty, micros (paper §4.3).
-  virtual double EstimateMigrationPenaltyMicros() const { return 0.0; }
 };
 
 }  // namespace batchmaker

@@ -4,7 +4,6 @@
 
 #include "src/device/cpu_backend.h"
 #include "src/device/null_backend.h"
-#include "src/device/sim_backend.h"
 
 namespace batchmaker {
 
@@ -25,12 +24,6 @@ DeviceRegistry::DeviceRegistry() {
       return nullptr;
     }
     return std::make_unique<NullBackend>(config.registry, config.null_latency_micros);
-  };
-  factories_["sim"] = [](const DeviceConfig& config) -> std::unique_ptr<DeviceBackend> {
-    if (config.cost_model == nullptr) {
-      return nullptr;
-    }
-    return std::make_unique<SimBackend>(config.cost_model);
   };
 }
 

@@ -1,7 +1,7 @@
-// DeviceRegistry: name -> DeviceBackend factory, the one place
-// EngineOptions::backend is resolved.
+// DeviceRegistry: name -> DeviceBackend factory, the one place the Server
+// resolves EngineOptions::backend.
 //
-// Builtin backends ("cpu", "null", "sim") self-register on first use;
+// Builtin backends ("cpu", "null") self-register on first use;
 // embedders may Register additional backends before constructing an
 // engine. Create returns null for unknown names and for devices that are
 // unavailable at runtime (e.g. a builtin missing its required config) —

@@ -66,13 +66,10 @@ NullBackend::NullBackend(const CellRegistry* registry, double latency_micros)
       assembler_(registry) {
   BM_CHECK(registry != nullptr);
   BM_CHECK_GE(latency_micros, 0.0);
-  // requires_gather stays false: the Server skips the gather stage, which
-  // is the point — the null device reads no input rows. The watchdog still
-  // works (Submit makes heartbeat-visible progress on the exec thread).
-  caps_.supports_watchdog = true;
-  for (bool& p : caps_.supported_precisions) {
-    p = true;  // nothing is computed at any precision
-  }
+  // Every cap stays false: in particular the Server skips the gather stage,
+  // which is the point — the null device reads no input rows. The watchdog
+  // still works (Submit makes heartbeat-visible progress on the exec
+  // thread).
 }
 
 std::unique_ptr<DeviceQueue> NullBackend::CreateQueue(const DeviceQueueOptions&) {

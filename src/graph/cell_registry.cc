@@ -65,17 +65,6 @@ void CellRegistry::SetMinBatch(CellTypeId id, int min_batch) {
   cells_[static_cast<size_t>(id)].info.min_batch = min_batch;
 }
 
-void CellRegistry::SetPrecision(CellTypeId id, Precision precision) {
-  BM_CHECK_GE(id, 0);
-  BM_CHECK_LT(id, NumTypes());
-  Entry& entry = cells_[static_cast<size_t>(id)];
-  if (entry.info.precision == precision) {
-    return;
-  }
-  entry.info.precision = precision;
-  entry.executor = std::make_unique<CellExecutor>(entry.def.get(), precision);
-}
-
 CellTypeId CellRegistry::FindByName(const std::string& name) const {
   for (const Entry& entry : cells_) {
     if (entry.info.name == name) {

@@ -32,9 +32,6 @@ struct CellTypeInfo {
   // Smallest batch the scheduler will submit beyond the first task of a
   // round (Algorithm 1, line 16: Bsizes.Min()).
   int min_batch = 1;
-  // Per-cell GEMM precision override. kF32 means "follow the engine-wide
-  // EngineOptions::precision"; bf16/int8 pins this cell regardless of it.
-  Precision precision = Precision::kF32;
 };
 
 class CellRegistry {
@@ -56,10 +53,6 @@ class CellRegistry {
   void SetPriority(CellTypeId id, int priority);
   void SetMaxBatch(CellTypeId id, int max_batch);
   void SetMinBatch(CellTypeId id, int min_batch);
-  // Pins the cell's GEMM precision (rebuilds its executor so the quantized
-  // weight packs exist before the next Execute). Not thread-safe against
-  // concurrent execution of this cell — set before serving starts.
-  void SetPrecision(CellTypeId id, Precision precision);
 
   // Finds a type by its cell name; returns kInvalidCellType if absent.
   CellTypeId FindByName(const std::string& name) const;

@@ -6,8 +6,7 @@
 
 namespace batchmaker {
 
-CellExecutor::CellExecutor(const CellDef* def, Precision precision)
-    : def_(def), precision_(precision) {
+CellExecutor::CellExecutor(const CellDef* def) : def_(def) {
   BM_CHECK(def != nullptr);
   BM_CHECK(def->finalized());
   // Pre-pack every MatMul weight whose RHS is an embedded parameter (shape
@@ -52,35 +51,19 @@ CellExecutor::CellExecutor(const CellDef* def, Precision precision)
       concat_split_[static_cast<size_t>(node.inputs[0])] = true;
     }
   }
-
-  if (precision_ != Precision::kF32) {
-    EnsurePacked(precision_);
-  }
 }
 
 void CellExecutor::EnsurePacked(Precision p) const {
-  switch (p) {
-    case Precision::kF32:
-      return;
-    case Precision::kBf16:
-      std::call_once(bf16_once_, [this] {
-        for (const auto& [id, packed] : packed_weights_) {
-          (void)packed;
-          const OpNode& rhs = def_->op(def_->op(id).inputs[1]);
-          packed_bf16_.emplace(id, PackedMatrix::PackBf16(rhs.weight));
-        }
-      });
-      return;
-    case Precision::kInt8:
-      std::call_once(int8_once_, [this] {
-        for (const auto& [id, packed] : packed_weights_) {
-          (void)packed;
-          const OpNode& rhs = def_->op(def_->op(id).inputs[1]);
-          packed_int8_.emplace(id, PackedMatrix::PackInt8(rhs.weight));
-        }
-      });
-      return;
+  if (p != Precision::kInt8) {
+    return;
   }
+  std::call_once(int8_once_, [this] {
+    for (const auto& [id, packed] : packed_weights_) {
+      (void)packed;
+      const OpNode& rhs = def_->op(def_->op(id).inputs[1]);
+      packed_int8_.emplace(id, PackedMatrix::PackInt8(rhs.weight));
+    }
+  });
 }
 
 std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inputs,
@@ -88,26 +71,13 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
   const CellDef& def = *def_;
   BM_CHECK_EQ(static_cast<int>(inputs.size()), def.NumInputs());
   ThreadPool* pool = ctx != nullptr ? ctx->pool : nullptr;
-  // Effective GEMM precision: the cell's own knob wins; otherwise the
-  // engine-wide context default applies.
-  Precision prec = precision_;
-  if (prec == Precision::kF32 && ctx != nullptr) {
-    prec = ctx->precision;
-  }
+  const Precision prec = ctx != nullptr ? ctx->precision : Precision::kF32;
   if (prec != Precision::kF32 && !packed_weights_.empty()) {
     EnsurePacked(prec);
   }
-  // The packed panel for op `id` at precision `pr` (never null on the
-  // paths below, which all guard on packed_weights_ membership /
-  // EnsurePacked).
-  auto packed_for = [&](int id, Precision pr) -> const PackedMatrix* {
-    const std::unordered_map<int, PackedMatrix>& shared =
-        pr == Precision::kBf16 ? packed_bf16_
-        : pr == Precision::kInt8 ? packed_int8_
-                                 : packed_weights_;
-    const auto it = shared.find(id);
-    return it != shared.end() ? &it->second : nullptr;
-  };
+  // Packed weights at this precision, keyed like packed_weights_.
+  const std::unordered_map<int, PackedMatrix>& packs =
+      prec == Precision::kInt8 ? packed_int8_ : packed_weights_;
   // All intermediates below allocate from the worker's arena while this
   // scope is active; the output copies at the end materialize owned storage.
   ArenaScope arena_scope(ctx != nullptr ? ctx->arena : nullptr);
@@ -154,7 +124,7 @@ std::vector<Tensor> CellExecutor::Execute(const std::vector<const Tensor*>& inpu
     for (const Tensor* part : parts) {
       BM_CHECK(part != nullptr);
     }
-    return MatMulPackedParts(parts, *packed_for(mm_id, prec), bias, pool);
+    return MatMulPackedParts(parts, packs.at(mm_id), bias, pool);
   };
 
   for (int id : def.TopoOrder()) {

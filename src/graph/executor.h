@@ -32,8 +32,7 @@ namespace batchmaker {
 struct ExecContext {
   ThreadPool* pool = nullptr;     // intra-task parallelism; null = serial
   TensorArena* arena = nullptr;   // task-scoped scratch; null = heap
-  // GEMM precision for pre-packed MatMul weights. A per-cell precision set
-  // at construction/registration wins over this engine-wide default.
+  // GEMM precision for pre-packed MatMul weights, the engine's one choice.
   Precision precision = Precision::kF32;
   // Has no reader. It stays only because servebench/probes.cc
   // brace-initialises all four fields; once ROADMAP item 6's
@@ -43,12 +42,9 @@ struct ExecContext {
 
 class CellExecutor {
  public:
-  explicit CellExecutor(const CellDef* def, Precision precision = Precision::kF32);
+  explicit CellExecutor(const CellDef* def);
 
   const CellDef& def() const { return *def_; }
-
-  // The cell's own precision override (kF32 = defer to ExecContext).
-  Precision precision() const { return precision_; }
 
   // Builds the quantized packed-weight cache for `p` if it does not exist
   // yet. Thread-safe and idempotent; Execute calls it lazily, but callers
@@ -59,6 +55,7 @@ class CellExecutor {
   // [batch] + input_spec(i).row_shape and the declared dtype; all inputs
   // must agree on the batch size. Returns one tensor per declared output;
   // returned tensors always own their storage (safe past any arena reset).
+  // The GEMM precision is ctx->precision, fp32 without a context.
   // (Pointer arguments only: a value-vector overload would be ambiguous
   // with brace-initialized two-pointer argument lists.)
   std::vector<Tensor> Execute(const std::vector<const Tensor*>& inputs,
@@ -69,16 +66,12 @@ class CellExecutor {
 
  private:
   const CellDef* def_;  // not owned; must outlive the executor
-  // Per-cell precision override; kF32 defers to the ExecContext.
-  Precision precision_ = Precision::kF32;
   // MatMul op id -> packed form of its kParam RHS weight (fp32 reference
   // pack, always built — the fp32 path must stay byte-identical).
   std::unordered_map<int, PackedMatrix> packed_weights_;
-  // Lazily-built quantized packs, keyed like packed_weights_. Guarded by
-  // the once flags; read-only after construction completes.
-  mutable std::unordered_map<int, PackedMatrix> packed_bf16_;
+  // Lazily-built int8 packs, keyed like packed_weights_. Guarded by the
+  // once flag; read-only once built.
   mutable std::unordered_map<int, PackedMatrix> packed_int8_;
-  mutable std::once_flag bf16_once_;
   mutable std::once_flag int8_once_;
   // GEMM fusions, found once at construction; indexed by op id. A fused
   // value is never a cell output and has exactly one reader.
@@ -86,8 +79,7 @@ class CellExecutor {
   //    param), which runs the GEMM with the bias in its store epilogue.
   //  - concat_split_[cat]: Concat `cat` is read only by a packed MatMul; at
   //    fp32 it is never built, the GEMM reads its inputs in place (split-K).
-  //    bf16 and int8 still build it (int8's per-row activation scale spans
-  //    all of K).
+  //    int8 still builds it (its per-row activation scale spans all of K).
   std::vector<bool> bias_fused_;
   std::vector<bool> concat_split_;
 };

@@ -27,7 +27,7 @@ void OnlineCostModel::Observe(CellTypeId type, int batch, double micros) {
   int64_t observations = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    TypeCalibration& cal = calibration_[Key(type)];
+    TypeCalibration& cal = calibration_[type];
     Bucket& b = cal.buckets[static_cast<size_t>(bucket)];
     if (b.count == 0) {
       b.ewma_batch = static_cast<double>(batch);
@@ -49,7 +49,7 @@ void OnlineCostModel::Observe(CellTypeId type, int batch, double micros) {
     }
     num_anchors = static_cast<int>(anchors.size());
     observations = cal.observations;
-    fitted_.insert_or_assign(Key(type), CostCurve(std::move(anchors)));
+    fitted_.insert_or_assign(type, CostCurve(std::move(anchors)));
     ++refits_;
     notify = on_refit_;  // copy: fire outside the lock
   }
@@ -77,7 +77,7 @@ double OnlineCostModel::TaskMicros(CellTypeId type, int batch) const {
   double curve_micros;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = fitted_.find(Key(type));
+    const auto it = fitted_.find(type);
     if (it != fitted_.end()) {
       curve_micros = it->second.Micros(batch);
     } else if (HasCurve(type)) {
@@ -91,7 +91,7 @@ double OnlineCostModel::TaskMicros(CellTypeId type, int batch) const {
 
 int64_t OnlineCostModel::Observations(CellTypeId type) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = calibration_.find(Key(type));
+  const auto it = calibration_.find(type);
   return it == calibration_.end() ? 0 : it->second.observations;
 }
 
@@ -102,12 +102,12 @@ int64_t OnlineCostModel::Refits() const {
 
 bool OnlineCostModel::Calibrated(CellTypeId type) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return fitted_.count(Key(type)) > 0;
+  return fitted_.count(type) > 0;
 }
 
 CostCurve OnlineCostModel::FittedCurve(CellTypeId type) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = fitted_.find(Key(type));
+  const auto it = fitted_.find(type);
   BM_CHECK(it != fitted_.end()) << "type " << type << " has not calibrated yet";
   return it->second;
 }

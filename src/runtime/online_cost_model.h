@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "src/runtime/cost_model.h"
-#include "src/tensor/gemm.h"
 
 namespace batchmaker {
 
@@ -64,16 +63,6 @@ class OnlineCostModel : public CostModel {
   using RefitFn = std::function<void(CellTypeId, int, int64_t)>;
   void set_on_refit(RefitFn fn) { on_refit_ = std::move(fn); }
 
-  // Active GEMM precision: observations and fitted curves are keyed by
-  // (type, precision) internally, so exec spans measured at int8 never
-  // contaminate the fp32 curve (a low-precision engine restart would
-  // otherwise inherit poisoned anchors). All CellTypeId-taking methods
-  // below read/write the curves of the *active* precision. Set once before
-  // serving starts (the Server does it from EngineOptions::precision);
-  // not synchronized against in-flight Observe/TaskMicros calls.
-  void set_active_precision(Precision precision) { active_precision_ = precision; }
-  Precision active_precision() const { return active_precision_; }
-
   // Introspection (tests, benches).
   int64_t Observations(CellTypeId type) const;
   int64_t Refits() const;
@@ -82,12 +71,6 @@ class OnlineCostModel : public CostModel {
   CostCurve FittedCurve(CellTypeId type) const;
 
  private:
-  // Composite (type, active precision) key for the calibration and fitted
-  // maps.
-  int64_t Key(CellTypeId type) const {
-    return static_cast<int64_t>(type) * kNumPrecisions +
-           static_cast<int64_t>(active_precision_);
-  }
   // Power-of-two batch buckets: bucket i covers [2^i, 2^(i+1)). 16 buckets
   // reach batch 65535, far past any max_batch in use.
   static constexpr int kNumBuckets = 16;
@@ -106,10 +89,9 @@ class OnlineCostModel : public CostModel {
   std::vector<std::pair<double, double>> FitAnchors(const TypeCalibration& cal) const;
 
   OnlineCostModelOptions options_;
-  Precision active_precision_ = Precision::kF32;
   mutable std::mutex mu_;
-  std::unordered_map<int64_t, TypeCalibration> calibration_;
-  std::unordered_map<int64_t, CostCurve> fitted_;
+  std::unordered_map<CellTypeId, TypeCalibration> calibration_;
+  std::unordered_map<CellTypeId, CostCurve> fitted_;
   CostCurve default_seed_;  // for types with neither a seed nor a fit
   int64_t refits_ = 0;
   RefitFn on_refit_;

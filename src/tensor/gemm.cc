@@ -26,30 +26,15 @@ namespace {
 constexpr int64_t kF32Nr = 64;
 constexpr int64_t kF32Mr = 6;
 constexpr int64_t kKc = 128;
-// bf16 / int8 register tile: NR is one 16-float zmm (two ymm); MR=6 keeps
-// the 12 AVX2 accumulator vectors plus 2 B vectors and a broadcast inside 16
-// ymm registers. Those packed layouts are kernel-agnostic too: the scalar
-// fallbacks consume the same panels.
+// int8 register tile: NR is one 16-lane zmm (two ymm); MR=6 keeps the 12
+// AVX2 accumulator vectors plus 2 B vectors and a broadcast inside 16 ymm
+// registers. That packed layout is kernel-agnostic too: the scalar fallback
+// consumes the same panels.
 constexpr int64_t kMr = 6;
 constexpr int64_t kNr = 16;
 // Rows per parallel job; a multiple of kMr and kF32Mr so a job's row tiles
 // line up with the serial path's.
 constexpr int64_t kMc = 120;
-
-// bfloat16 <-> float, round-to-nearest-even on the way down.
-inline uint16_t Bf16FromFloat(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  u += 0x7fffu + ((u >> 16) & 1u);
-  return static_cast<uint16_t>(u >> 16);
-}
-
-inline float FloatFromBf16(uint16_t h) {
-  const uint32_t u = static_cast<uint32_t>(h) << 16;
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
 
 // One fp32 output tile over one K block: C[rows, cols] = (load_c ? C : 0)
 // + A[rows, kc] * Bp[kc, kF32Nr], plus `bias` (nullable) once the block is
@@ -65,13 +50,6 @@ using KernelFn = void (*)(const float* a, int64_t lda, const float* bp, int64_t 
                           float* c, int64_t ldc, int64_t rows, int64_t cols, bool load_c,
                           const float* bias, const float* next_bp);
 
-// bf16 tile: Ap is `groups` k-pairs of kMr rows (kMr x 2 bf16 per group),
-// Bp is `groups` k-pairs of kNr columns (kNr x 2 bf16 per group); padded
-// pair slots are bf16 zero so they contribute nothing.
-using Bf16KernelFn = void (*)(const uint16_t* ap, const uint16_t* bp, int64_t groups,
-                              float* c, int64_t ldc, int64_t rows, int64_t cols,
-                              bool accumulate);
-
 // int8 tile: writes the raw s32 accumulator tile (kMr x kNr, overwritten —
 // the shared dequant epilogue handles C accumulate). Ap holds u8 values
 // (quantized activation + 128) grouped by `g` k-values per row; the AVX2
@@ -80,23 +58,6 @@ using Bf16KernelFn = void (*)(const uint16_t* ap, const uint16_t* bp, int64_t gr
 // exact, so every int8 kernel produces the identical tile.
 using Int8KernelFn = void (*)(const uint8_t* ap, const int8_t* bp, int64_t k, int g,
                               int32_t* acc);
-
-void StorePartial(const float* tile, float* c, int64_t ldc, int64_t rows, int64_t cols,
-                  bool accumulate) {
-  for (int64_t i = 0; i < rows; ++i) {
-    const float* src = tile + i * kNr;
-    float* dst = c + i * ldc;
-    if (accumulate) {
-      for (int64_t j = 0; j < cols; ++j) {
-        dst[j] += src[j];
-      }
-    } else {
-      for (int64_t j = 0; j < cols; ++j) {
-        dst[j] = src[j];
-      }
-    }
-  }
-}
 
 void MicroKernelScalar(const float* a, int64_t lda, const float* bp, int64_t kc, float* c,
                        int64_t ldc, int64_t rows, int64_t cols, bool load_c,
@@ -267,67 +228,6 @@ __attribute__((target("avx512f"))) void MicroKernelAvx512(const float* a, int64_
 }
 #endif  // BM_GEMM_X86
 
-// bf16 fallback kernel: decodes bf16 back to fp32 and accumulates in fp32.
-// Per element the two pair products are added in a fixed order; bf16 x bf16
-// products are exact in fp32 (8-bit significands), so potential compiler
-// FMA contraction cannot change the result.
-void MicroKernelBf16Emulated(const uint16_t* ap, const uint16_t* bp, int64_t groups,
-                             float* c, int64_t ldc, int64_t rows, int64_t cols,
-                             bool accumulate) {
-  float acc[kMr * kNr] = {};
-  for (int64_t g0 = 0; g0 < groups; ++g0) {
-    const uint16_t* a_col = ap + g0 * kMr * 2;
-    const uint16_t* b_row = bp + g0 * kNr * 2;
-    for (int64_t ii = 0; ii < kMr; ++ii) {
-      const float a0 = FloatFromBf16(a_col[ii * 2]);
-      const float a1 = FloatFromBf16(a_col[ii * 2 + 1]);
-      float* acc_row = acc + ii * kNr;
-      for (int64_t jj = 0; jj < kNr; ++jj) {
-        acc_row[jj] += a0 * FloatFromBf16(b_row[jj * 2]);
-        acc_row[jj] += a1 * FloatFromBf16(b_row[jj * 2 + 1]);
-      }
-    }
-  }
-  StorePartial(acc, c, ldc, rows, cols, accumulate);
-}
-
-#if BM_GEMM_X86
-__attribute__((target("avx512bf16,avx512f"))) void MicroKernelBf16Avx512(
-    const uint16_t* ap, const uint16_t* bp, int64_t groups, float* c, int64_t ldc,
-    int64_t rows, int64_t cols, bool accumulate) {
-  __m512 accv[kMr];
-  for (int ii = 0; ii < kMr; ++ii) {
-    accv[ii] = _mm512_setzero_ps();
-  }
-  for (int64_t g0 = 0; g0 < groups; ++g0) {
-    const __m512bh bv = (__m512bh)_mm512_loadu_si512(bp + g0 * kNr * 2);
-    const uint16_t* a_col = ap + g0 * kMr * 2;
-    for (int ii = 0; ii < kMr; ++ii) {
-      uint32_t pair;
-      std::memcpy(&pair, a_col + ii * 2, sizeof(pair));
-      accv[ii] =
-          _mm512_dpbf16_ps(accv[ii], (__m512bh)_mm512_set1_epi32(static_cast<int>(pair)), bv);
-    }
-  }
-  if (rows == kMr && cols == kNr) {
-    for (int ii = 0; ii < kMr; ++ii) {
-      float* dst = c + ii * ldc;
-      __m512 sum = accv[ii];
-      if (accumulate) {
-        sum = _mm512_add_ps(sum, _mm512_loadu_ps(dst));
-      }
-      _mm512_storeu_ps(dst, sum);
-    }
-    return;
-  }
-  float tile[kMr * kNr];
-  for (int ii = 0; ii < kMr; ++ii) {
-    _mm512_storeu_ps(tile + ii * kNr, accv[ii]);
-  }
-  StorePartial(tile, c, ldc, rows, cols, accumulate);
-}
-#endif  // BM_GEMM_X86
-
 // int8 fallback kernel. Also the compatibility path when B was packed with a
 // different k-group width than the dispatched kernel wants (e.g. a pack made
 // under a forced tier): it honors whatever `g` the panels carry.
@@ -437,15 +337,14 @@ void DequantStore(const int32_t* acc, const float* row_scales, const float* b_sc
 
 // ---------------------------------------------------------------------------
 // Runtime dispatch. A feature bitmask is detected once via cpuid (checking
-// avx512bf16 / avx512vnni specifically, not just avx512f), optionally capped
+// avx512vnni specifically, not just avx512f), optionally capped
 // by the BM_GEMM_KERNEL env var or GemmForceTierForTest, then resolved into
 // one kernel per precision.
 
 enum : unsigned {
   kFeatAvx2 = 1u << 0,
   kFeatAvx512f = 1u << 1,
-  kFeatBf16 = 1u << 2,
-  kFeatVnni = 1u << 3,
+  kFeatVnni = 1u << 2,
 };
 
 unsigned DetectCpuFeatures() {
@@ -456,9 +355,6 @@ unsigned DetectCpuFeatures() {
   }
   if (__builtin_cpu_supports("avx512f")) {
     f |= kFeatAvx512f;
-  }
-  if (__builtin_cpu_supports("avx512bf16")) {
-    f |= kFeatBf16;
   }
   if (__builtin_cpu_supports("avx512vnni")) {
     f |= kFeatVnni;
@@ -487,10 +383,6 @@ bool ParseTierMask(const char* text, unsigned* mask) {
     *mask = kFeatAvx2 | kFeatAvx512f;
     return true;
   }
-  if (t == "avx512_bf16") {
-    *mask = kFeatAvx2 | kFeatAvx512f | kFeatBf16;
-    return true;
-  }
   if (t == "avx512_vnni") {
     *mask = kFeatAvx2 | kFeatAvx512f | kFeatVnni;
     return true;
@@ -501,8 +393,6 @@ bool ParseTierMask(const char* text, unsigned* mask) {
 struct GemmDispatch {
   KernelFn f32 = MicroKernelScalar;
   const char* f32_name = "scalar_fp32";
-  Bf16KernelFn bf16 = MicroKernelBf16Emulated;
-  const char* bf16_name = "emulated_bf16";
   Int8KernelFn int8 = MicroKernelInt8Scalar;
   const char* int8_name = "scalar_int8";
   int int8_kgroup = 4;    // k-group width PackInt8 uses for this dispatch
@@ -518,10 +408,6 @@ GemmDispatch MakeDispatch(unsigned feat) {
   } else if (feat & kFeatAvx2) {
     d.f32 = MicroKernelAvx2;
     d.f32_name = "avx2_fma_fp32";
-  }
-  if ((feat & kFeatAvx512f) && (feat & kFeatBf16)) {
-    d.bf16 = MicroKernelBf16Avx512;
-    d.bf16_name = "avx512_bf16";
   }
   if ((feat & kFeatAvx512f) && (feat & kFeatVnni)) {
     d.int8 = MicroKernelInt8Vnni;
@@ -549,7 +435,7 @@ GemmDispatch& MutableDispatch() {
         feat &= cap;
       } else {
         BM_LOG(Warning) << "ignoring unknown BM_GEMM_KERNEL=" << env
-                        << " (want scalar|avx2|avx512|avx512_bf16|avx512_vnni|native)";
+                        << " (want scalar|avx2|avx512|avx512_vnni|native)";
       }
     }
     return MakeDispatch(feat);
@@ -557,33 +443,11 @@ GemmDispatch& MutableDispatch() {
   return dispatch;
 }
 
-// Packs rows [row0, row0+rows) of A[m,k] into kMr-row bf16 panels: k-pairs
-// interleaved per row, padded slots bf16 zero. `out` must hold
-// ceil(rows/kMr)*ceil(k/2)*kMr*2 values.
-void PackABf16(const float* a, int64_t k, int64_t row0, int64_t rows, int64_t m,
-               uint16_t* out) {
-  const int64_t panels = (rows + kMr - 1) / kMr;
-  const int64_t groups = (k + 1) / 2;
-  for (int64_t ir = 0; ir < panels; ++ir) {
-    uint16_t* dst = out + ir * groups * kMr * 2;
-    const int64_t base = row0 + ir * kMr;
-    const int64_t valid = std::min<int64_t>(kMr, m - base);
-    for (int64_t g0 = 0; g0 < groups; ++g0) {
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        for (int64_t t = 0; t < 2; ++t) {
-          const int64_t p = g0 * 2 + t;
-          dst[g0 * kMr * 2 + ii * 2 + t] =
-              (ii < valid && p < k) ? Bf16FromFloat(a[(base + ii) * k + p]) : 0;
-        }
-      }
-    }
-  }
-}
-
-// int8 variant: per-row dynamic symmetric quantization (scale = absmax/127,
-// stored value = q + 128 as u8, padded slots 128 so the zero-point
-// correction cancels them against B's zero padding). `widen` stores each
-// value as little-endian u16 instead (the AVX2 kernel operand form).
+// Packs rows [row0, row0+rows) of A[m,k] into kMr-row int8 panels: per-row
+// dynamic symmetric quantization (scale = absmax/127, stored value = q + 128
+// as u8, padded slots 128 so the zero-point correction cancels them against
+// B's zero padding). `widen` stores each value as little-endian u16 instead
+// (the AVX2 kernel operand form).
 // BM_CHECK-fails on non-finite activations — quantizing an inf/NaN row
 // would silently poison every column of that output row.
 void PackAInt8(const float* a, int64_t k, int64_t row0, int64_t rows, int64_t m, int g,
@@ -634,16 +498,8 @@ void PackAInt8(const float* a, int64_t k, int64_t row0, int64_t rows, int64_t m,
 
 // Per-thread packing scratch. Reused across calls; bounded by the largest
 // (rows x k) block packed on that thread.
-thread_local std::vector<uint16_t> tls_bf16_pack;
 thread_local std::vector<uint8_t> tls_i8_pack;
 thread_local std::vector<float> tls_row_scales;
-
-uint16_t* Bf16PackScratch(int64_t elems) {
-  if (static_cast<int64_t>(tls_bf16_pack.size()) < elems) {
-    tls_bf16_pack.resize(static_cast<size_t>(elems));
-  }
-  return tls_bf16_pack.data();
-}
 
 uint8_t* QPackScratch(int64_t bytes) {
   if (static_cast<int64_t>(tls_i8_pack.size()) < bytes) {
@@ -692,38 +548,6 @@ void ComputeF32Block(KernelFn kernel, const GemmPart* parts, int num_parts,
   }
 }
 
-// Adds the row-broadcast bias to a just-stored output tile.
-void AddBiasTile(const float* bias, float* c, int64_t ldc, int64_t rows, int64_t cols) {
-  for (int64_t i = 0; i < rows; ++i) {
-    float* dst = c + i * ldc;
-    for (int64_t j = 0; j < cols; ++j) {
-      dst[j] += bias[j];
-    }
-  }
-}
-
-void ComputeRowBlockBf16(Bf16KernelFn kernel, const uint16_t* ap, const PackedMatrix& b,
-                         const float* bias, float* c, int64_t row0, int64_t rows, int64_t m,
-                         int64_t n, bool accumulate) {
-  const int64_t groups = (b.k() + 1) / 2;
-  const int64_t a_stride = groups * kMr * 2;
-  const int64_t a_panels = (rows + kMr - 1) / kMr;
-  for (int64_t jp = 0; jp < b.num_panels(); ++jp) {
-    const uint16_t* bp = b.panel_bf16(jp);
-    const int64_t col0 = jp * kNr;
-    const int64_t cols = std::min<int64_t>(kNr, n - col0);
-    for (int64_t ir = 0; ir < a_panels; ++ir) {
-      const int64_t tile_row0 = row0 + ir * kMr;
-      const int64_t tile_rows = std::min<int64_t>(kMr, m - tile_row0);
-      kernel(ap + ir * a_stride, bp, groups, c + tile_row0 * n + col0, n, tile_rows, cols,
-             accumulate);
-      if (bias != nullptr) {
-        AddBiasTile(bias + col0, c + tile_row0 * n + col0, n, tile_rows, cols);
-      }
-    }
-  }
-}
-
 void ComputeRowBlockInt8(Int8KernelFn kernel, int g, bool widen, const uint8_t* ap,
                          const float* row_scales, const PackedMatrix& b, const float* bias,
                          float* c, int64_t row0, int64_t rows, int64_t m, int64_t n,
@@ -769,49 +593,6 @@ void GemmPackedF32(const GemmPart* parts, int num_parts, const PackedMatrix& b, 
   for (int64_t j = 0; j < jobs; ++j) {
     job(j);
   }
-}
-
-void GemmPackedBf16(const float* a, const PackedMatrix& b, float* c, int64_t m,
-                    bool accumulate, ThreadPool* pool, const float* bias) {
-  const int64_t k = b.k();
-  const int64_t n = b.n();
-  const Bf16KernelFn kernel = MutableDispatch().bf16;
-  const int64_t groups = (k + 1) / 2;
-  const int64_t m_blocks = (m + kMc - 1) / kMc;
-  if (pool != nullptr && pool->num_threads() > 1 && m_blocks >= 2) {
-    pool->Run(m_blocks, [&](int64_t ib) {
-      const int64_t row0 = ib * kMc;
-      const int64_t rows = std::min<int64_t>(kMc, m - row0);
-      const int64_t panels = (rows + kMr - 1) / kMr;
-      uint16_t* ap = Bf16PackScratch(panels * groups * kMr * 2);
-      PackABf16(a, k, row0, rows, m, ap);
-      ComputeRowBlockBf16(kernel, ap, b, bias, c, row0, rows, m, n, accumulate);
-    });
-    return;
-  }
-
-  const int64_t a_panels = (m + kMr - 1) / kMr;
-  const int64_t a_stride = groups * kMr * 2;
-  uint16_t* ap = Bf16PackScratch(a_panels * a_stride);
-  PackABf16(a, k, /*row0=*/0, m, m, ap);
-  if (pool != nullptr && pool->num_threads() > 1 && b.num_panels() >= 2) {
-    pool->Run(b.num_panels(), [&](int64_t jp) {
-      const uint16_t* bp = b.panel_bf16(jp);
-      const int64_t col0 = jp * kNr;
-      const int64_t cols = std::min<int64_t>(kNr, n - col0);
-      for (int64_t ir = 0; ir < a_panels; ++ir) {
-        const int64_t row0 = ir * kMr;
-        const int64_t rows = std::min<int64_t>(kMr, m - row0);
-        kernel(ap + ir * a_stride, bp, groups, c + row0 * n + col0, n, rows, cols,
-               accumulate);
-        if (bias != nullptr) {
-          AddBiasTile(bias + col0, c + row0 * n + col0, n, rows, cols);
-        }
-      }
-    });
-    return;
-  }
-  ComputeRowBlockBf16(kernel, ap, b, bias, c, /*row0=*/0, m, m, n, accumulate);
 }
 
 void GemmPackedInt8(const float* a, const PackedMatrix& b, float* c, int64_t m,
@@ -880,7 +661,11 @@ void ZeroKProduct(float* c, int64_t m, int64_t n, bool accumulate, const float* 
     std::memset(c, 0, static_cast<size_t>(m * n) * sizeof(float));
   }
   if (bias != nullptr) {
-    AddBiasTile(bias, c, n, m, n);
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        c[i * n + j] += bias[j];
+      }
+    }
   }
 }
 
@@ -890,8 +675,6 @@ const char* PrecisionName(Precision p) {
   switch (p) {
     case Precision::kF32:
       return "fp32";
-    case Precision::kBf16:
-      return "bf16";
     case Precision::kInt8:
       return "int8";
   }
@@ -901,10 +684,6 @@ const char* PrecisionName(Precision p) {
 bool ParsePrecision(const std::string& text, Precision* out) {
   if (text == "fp32" || text == "f32") {
     *out = Precision::kF32;
-    return true;
-  }
-  if (text == "bf16") {
-    *out = Precision::kBf16;
     return true;
   }
   if (text == "int8") {
@@ -938,37 +717,6 @@ PackedMatrix PackedMatrix::Pack(const Tensor& b) {
   BM_CHECK(b.dtype() == DType::kF32);
   BM_CHECK_EQ(b.shape().Rank(), 2);
   return Pack(b.f32(), b.shape().Dim(0), b.shape().Dim(1));
-}
-
-PackedMatrix PackedMatrix::PackBf16(const float* b, int64_t k, int64_t n) {
-  BM_CHECK_GE(k, 0);
-  BM_CHECK_GT(n, 0);
-  PackedMatrix packed;
-  packed.precision_ = Precision::kBf16;
-  packed.k_ = k;
-  packed.n_ = n;
-  packed.num_panels_ = (n + kNr - 1) / kNr;
-  const int64_t groups = (k + 1) / 2;
-  packed.bf16_data_.assign(static_cast<size_t>(packed.num_panels_ * groups * kNr * 2), 0);
-  for (int64_t jp = 0; jp < packed.num_panels_; ++jp) {
-    uint16_t* dst = packed.bf16_data_.data() + jp * groups * kNr * 2;
-    const int64_t col0 = jp * kNr;
-    const int64_t cols = std::min<int64_t>(kNr, n - col0);
-    for (int64_t p = 0; p < k; ++p) {
-      const int64_t g0 = p / 2;
-      const int64_t t = p % 2;
-      for (int64_t jj = 0; jj < cols; ++jj) {
-        dst[g0 * kNr * 2 + jj * 2 + t] = Bf16FromFloat(b[p * n + col0 + jj]);
-      }
-    }
-  }
-  return packed;
-}
-
-PackedMatrix PackedMatrix::PackBf16(const Tensor& b) {
-  BM_CHECK(b.dtype() == DType::kF32);
-  BM_CHECK_EQ(b.shape().Rank(), 2);
-  return PackBf16(b.f32(), b.shape().Dim(0), b.shape().Dim(1));
 }
 
 PackedMatrix PackedMatrix::PackInt8(const float* b, int64_t k, int64_t n) {
@@ -1054,14 +802,6 @@ const float* PackedMatrix::panel(int64_t j) const {
   return data_.data() + j * k_ * kF32Nr;
 }
 
-const uint16_t* PackedMatrix::panel_bf16(int64_t j) const {
-  BM_CHECK(precision_ == Precision::kBf16);
-  BM_CHECK_GE(j, 0);
-  BM_CHECK_LT(j, num_panels_);
-  const int64_t groups = (k_ + 1) / 2;
-  return bf16_data_.data() + j * groups * kNr * 2;
-}
-
 const int8_t* PackedMatrix::panel_int8(int64_t j) const {
   BM_CHECK(precision_ == Precision::kInt8);
   BM_CHECK_GE(j, 0);
@@ -1085,9 +825,6 @@ void GemmPacked(const float* a, const PackedMatrix& b, float* c, int64_t m,
       GemmPackedF32(&whole, 1, b, c, m, accumulate, pool, bias);
       return;
     }
-    case Precision::kBf16:
-      GemmPackedBf16(a, b, c, m, accumulate, pool, bias);
-      return;
     case Precision::kInt8:
       GemmPackedInt8(a, b, c, m, accumulate, pool, bias);
       return;
@@ -1191,8 +928,6 @@ const char* GemmKernelName(Precision p) {
   switch (p) {
     case Precision::kF32:
       return d.f32_name;
-    case Precision::kBf16:
-      return d.bf16_name;
     case Precision::kInt8:
       return d.int8_name;
   }

@@ -17,13 +17,9 @@
 // GEMM never has to be built (split-K) — with an optional bias added in the
 // store epilogue.
 //
-// Three kernel families share the dispatch seam, selected by how B was
+// Two kernel families share the dispatch seam, selected by how B was
 // packed (Precision tag on PackedMatrix):
 //   fp32 — the reference precision, described above.
-//   bf16 — A and B truncated to bfloat16 (round-to-nearest-even), fp32
-//          accumulate. AVX-512 BF16 `_mm512_dpbf16_ps` when the CPU has it,
-//          otherwise a pure-C++ emulated-bf16 kernel so the precision is
-//          testable on any host.
 //   int8 — dynamic per-row activation quantization (u8, zero point 128) x
 //          per-output-channel symmetric weight scales (s8), s32 accumulate,
 //          fp32 dequant epilogue with optional fused bias. AVX-512 VNNI
@@ -55,42 +51,36 @@ namespace batchmaker {
 
 class ThreadPool;
 
-// Numeric precision of the packed-weight GEMM path. fp32 is the default and
-// is byte-for-byte identical to the pre-low-precision code.
+// Numeric precision of the packed-weight GEMM path, chosen once per engine.
+// fp32 is the default and is byte-for-byte identical to the
+// pre-low-precision code. The values are stable: fig07 seeds its precision
+// points from them.
 enum class Precision {
   kF32 = 0,
-  kBf16 = 1,
   kInt8 = 2,
 };
-inline constexpr int kNumPrecisions = 3;
 
-// "fp32" / "bf16" / "int8".
+// "fp32" / "int8".
 const char* PrecisionName(Precision p);
 // Parses the names above; returns false (out untouched) on anything else.
 bool ParsePrecision(const std::string& text, Precision* out);
 
 // B[k,n] repacked into column panels of panel_width() columns (64 for
-// fp32, 16 for bf16/int8), k-major within a panel, zero-padded to full
-// width. Packing is cheap (one pass over B) but the win is doing it once per
+// fp32, 16 for int8), k-major within a panel, zero-padded to full width.
+// Packing is cheap (one pass over B) but the win is doing it once per
 // weight instead of per call.
 //
-// Low-precision packs additionally quantize:
-//  - PackBf16 stores bf16 values in k-pair-interleaved panels (the
-//    dpbf16 operand layout; the emulated kernel reads the same panels).
-//  - PackInt8 stores s8 values in k-group-interleaved panels (group width
-//    matches the dispatched kernel: 4 for VNNI, 2 for AVX2/scalar), plus
-//    per-output-column symmetric scales (absmax/127, 0 for an all-zero
-//    column) and the u8 zero-point correction term
-//    col_corr[j] = 128 * sum_p B_s8[p, j].
+// PackInt8 additionally quantizes: it stores s8 values in
+// k-group-interleaved panels (group width matches the dispatched kernel: 4
+// for VNNI, 2 for AVX2/scalar), plus per-output-column symmetric scales
+// (absmax/127, 0 for an all-zero column) and the u8 zero-point correction
+// term col_corr[j] = 128 * sum_p B_s8[p, j].
 class PackedMatrix {
  public:
   PackedMatrix() = default;
 
   static PackedMatrix Pack(const float* b, int64_t k, int64_t n);
   static PackedMatrix Pack(const Tensor& b);  // rank-2 f32
-
-  static PackedMatrix PackBf16(const float* b, int64_t k, int64_t n);
-  static PackedMatrix PackBf16(const Tensor& b);  // rank-2 f32
 
   // BM_CHECK-fails on non-finite weight values.
   static PackedMatrix PackInt8(const float* b, int64_t k, int64_t n);
@@ -104,9 +94,6 @@ class PackedMatrix {
   int64_t panel_width() const;
   // Panel j: k() x panel_width() floats, row (k) major. fp32 packs only.
   const float* panel(int64_t j) const;
-  // Panel j: ceil(k/2) x panel_width() x 2 bf16 values (k-pair interleaved
-  // per column).
-  const uint16_t* panel_bf16(int64_t j) const;
   // Panel j: ceil(k/g) x panel_width() x g s8 values (k-group interleaved
   // per column), g = int8_kgroup().
   const int8_t* panel_int8(int64_t j) const;
@@ -121,12 +108,11 @@ class PackedMatrix {
   int64_t k_ = 0;
   int64_t n_ = 0;
   int64_t num_panels_ = 0;
-  std::vector<float> data_;         // fp32
-  std::vector<uint16_t> bf16_data_; // bf16
-  std::vector<int8_t> i8_data_;     // int8
-  std::vector<float> col_scales_;   // int8: n() entries
-  std::vector<int32_t> col_corr_;   // int8: n() entries
-  int int8_kgroup_ = 0;             // int8: k-group width the panels use
+  std::vector<float> data_;        // fp32
+  std::vector<int8_t> i8_data_;    // int8
+  std::vector<float> col_scales_;  // int8: n() entries
+  std::vector<int32_t> col_corr_;  // int8: n() entries
+  int int8_kgroup_ = 0;            // int8: k-group width the panels use
 };
 
 // C[m,n] = A[m,k] * B (accumulate=false; C need not be initialized — the
@@ -134,8 +120,7 @@ class PackedMatrix {
 // (accumulate=true), then + bias (length n, nullable) in the store
 // epilogue. Parallelizes over output tiles when `pool` is non-null and the
 // shape warrants it. A is always fp32: read in place by the fp32 kernels,
-// converted/quantized on the fly into per-thread packing scratch for bf16
-// and int8 packs.
+// quantized on the fly into per-thread packing scratch for int8 packs.
 void GemmPacked(const float* a, const PackedMatrix& b, float* c, int64_t m,
                 bool accumulate, ThreadPool* pool = nullptr,
                 const float* bias = nullptr);
@@ -188,13 +173,13 @@ enum class CpuTier { kScalar, kAvx2, kAvx512 };
 CpuTier GemmCpuTier();
 
 // Name of the kernel the dispatcher would run for `p` on this host, e.g.
-// "avx512_fp32", "avx512_vnni_int8", "emulated_bf16", "scalar_fp32".
+// "avx512_fp32", "avx512_vnni_int8", "scalar_int8", "scalar_fp32".
 // Reflects the BM_GEMM_KERNEL env override / forced tier.
 const char* GemmKernelName(Precision p = Precision::kF32);
 
 // Re-runs dispatch with the feature set capped at `tier` (one of "scalar",
-// "avx2", "avx512", "avx512_bf16", "avx512_vnni", "native"; nullptr/empty
-// or "native" restores full auto-detection). The cap is intersected with
+// "avx2", "avx512", "avx512_vnni", "native"; nullptr/empty or "native"
+// restores full auto-detection). The cap is intersected with
 // what cpuid actually reports — forcing a tier the CPU lacks clamps to the
 // best supported subset, never to an illegal-instruction crash. Test-only:
 // not thread-safe against concurrent GEMM calls.

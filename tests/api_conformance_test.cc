@@ -5,10 +5,10 @@
 // drift in any engine breaks compilation here before it breaks users.
 // The same discipline covers device selection: EngineOptions::backend
 // resolves through DeviceRegistry, and one submission function drives
-// Server x {cpu, null} and SimEngine x {sim} without engine- or
-// backend-specific call shapes. (The pre-unification aliases — old option
-// field names, positional overloads, SyncEngine::TakeOutputs — are
-// removed; see the README migration table.)
+// Server x {cpu, null} and SimEngine without engine- or backend-specific
+// call shapes. (The pre-unification aliases — old option field names,
+// positional overloads, SyncEngine::TakeOutputs — are removed; see the
+// README migration table.)
 
 #include <gtest/gtest.h>
 
@@ -306,8 +306,8 @@ TEST(ApiConformanceTest, BackendSelectionDrivesEnginesThroughOneCodePath) {
   // Identical submission code per engine; only EngineOptions::backend
   // varies. The cpu backend must stay bitwise-identical to the SyncEngine
   // reference, the null backend must complete the same requests with
-  // zero-filled outputs of the right shapes, and the sim backend must
-  // complete them in virtual time.
+  // zero-filled outputs of the right shapes, and SimEngine must complete
+  // them in virtual time.
   constexpr int64_t kHidden = 4;
   constexpr int kRequests = 6;
   const auto requests = MakeChainRequests(kRequests, kHidden, /*seed=*/65);
@@ -356,10 +356,7 @@ TEST(ApiConformanceTest, BackendSelectionDrivesEnginesThroughOneCodePath) {
 
   TinyLstmFixture sim_fix;
   const CostModel cost = UnitCostModel(sim_fix.registry);
-  SimEngineOptions sim_options;
-  sim_options.backend = "sim";
-  SimEngine sim(&sim_fix.registry, &cost, sim_options);
-  EXPECT_STREQ(sim.device()->name(), "sim");
+  SimEngine sim(&sim_fix.registry, &cost);
   const auto sim_responses = DriveEngine(AdaptSimEngine(&sim), sim_fix.model,
                                          requests, kHidden, opts_for);
   for (const Response& r : sim_responses) {

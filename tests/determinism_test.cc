@@ -2,11 +2,13 @@
 // intra-task ThreadPool (threads_per_worker > 1) and worker-local arenas
 // must produce request outputs bitwise identical to the single-threaded
 // SyncEngine. Batching, thread count, and arena recycling may change *how*
-// the numbers are computed, never *which* numbers come out.
+// the numbers are computed, never *which* numbers come out. The contract
+// holds within each GEMM precision, so the core case runs at int8 too.
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include "src/core/server.h"
@@ -57,7 +59,16 @@ std::vector<Tensor> ChainExternals(const RequestSpec& spec, int64_t hidden) {
   return ext;
 }
 
-TEST(DeterminismTest, ThreadedServerMatchesSyncEngineBitwise) {
+// One engine precision, and the Server's pipeline depth.
+struct PrecisionDepth {
+  Precision precision;
+  int pipeline_depth;
+};
+
+class ServerSyncBitwiseTest : public ::testing::TestWithParam<PrecisionDepth> {};
+
+TEST_P(ServerSyncBitwiseTest, ThreadedServerMatchesSyncEngineBitwise) {
+  const PrecisionDepth param = GetParam();
   constexpr int kRequests = 24;
   constexpr int64_t kInputDim = 24;
   constexpr int64_t kHidden = 40;
@@ -68,6 +79,7 @@ TEST(DeterminismTest, ThreadedServerMatchesSyncEngineBitwise) {
   std::vector<std::vector<Tensor>> ref_outputs(kRequests);
   {
     SyncEngine engine(&ref_fix.registry);
+    engine.set_precision(param.precision);
     std::vector<RequestId> ids;
     for (const RequestSpec& spec : requests) {
       ids.push_back(engine.Submit(ref_fix.model.Unfold(spec.length),
@@ -92,6 +104,8 @@ TEST(DeterminismTest, ThreadedServerMatchesSyncEngineBitwise) {
   ServerOptions options;
   options.num_workers = 2;
   options.threads_per_worker = 4;
+  options.pipeline_depth = param.pipeline_depth;
+  options.precision = param.precision;
   Server server(&srv_fix.registry, options);
   server.Start();
 
@@ -123,6 +137,15 @@ TEST(DeterminismTest, ThreadedServerMatchesSyncEngineBitwise) {
   }
   server.Shutdown();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PrecisionsAndDepths, ServerSyncBitwiseTest,
+    ::testing::Values(PrecisionDepth{Precision::kF32, 2}, PrecisionDepth{Precision::kInt8, 1},
+                      PrecisionDepth{Precision::kInt8, 2}),
+    [](const ::testing::TestParamInfo<PrecisionDepth>& info) {
+      return std::string(PrecisionName(info.param.precision)) + "_depth" +
+             std::to_string(info.param.pipeline_depth);
+    });
 
 TEST(DeterminismTest, PipelinedStreamsMatchSyncEngineBitwiseAtAnyDepth) {
   // The pipelined worker streams (watermark refill + overlapped

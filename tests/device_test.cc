@@ -1,10 +1,10 @@
 // Pins the DeviceBackend contract (DESIGN.md "Device backend API"):
 // registry round-trips, per-backend capability flags, staging-buffer
 // lifetime, completed-result events (outputs or the failure flag), and the
-// null backend's compute-free zero outputs and fixed latency. Engine-level conformance (Server x {cpu,
-// null}, SimEngine x sim driven by identical submission code) lives in
-// api_conformance_test.cc; bitwise identity of the cpu backend lives in
-// determinism_test.cc.
+// null backend's compute-free zero outputs and fixed latency. Engine-level
+// conformance (Server x {cpu, null} driven by identical submission code)
+// lives in api_conformance_test.cc; bitwise identity of the cpu backend
+// lives in determinism_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "src/device/device_backend.h"
 #include "src/device/device_registry.h"
 #include "src/device/null_backend.h"
-#include "src/device/sim_backend.h"
-#include "src/runtime/cost_model.h"
 #include "tests/test_models.h"
 
 namespace batchmaker {
@@ -36,9 +34,8 @@ TEST(DeviceRegistryTest, BuiltinNamesRoundTrip) {
   DeviceRegistry& reg = DeviceRegistry::Instance();
   EXPECT_TRUE(reg.Has("cpu"));
   EXPECT_TRUE(reg.Has("null"));
-  EXPECT_TRUE(reg.Has("sim"));
   const std::vector<std::string> names = reg.Names();
-  EXPECT_GE(names.size(), 3u);
+  EXPECT_GE(names.size(), 2u);
 
   TinyLstmFixture fix;
   for (const char* name : {"cpu", "null"}) {
@@ -46,13 +43,6 @@ TEST(DeviceRegistryTest, BuiltinNamesRoundTrip) {
     ASSERT_NE(backend, nullptr) << name;
     EXPECT_STREQ(backend->name(), name);
   }
-
-  CostModel cost;
-  DeviceConfig sim_config;
-  sim_config.cost_model = &cost;
-  auto sim = reg.Create("sim", sim_config);
-  ASSERT_NE(sim, nullptr);
-  EXPECT_STREQ(sim->name(), "sim");
 }
 
 TEST(DeviceRegistryTest, UnknownOrMisconfiguredBackendsCreateNull) {
@@ -61,7 +51,6 @@ TEST(DeviceRegistryTest, UnknownOrMisconfiguredBackendsCreateNull) {
   EXPECT_EQ(reg.Create("tpu", DeviceConfig{}), nullptr);
   // Builtins refuse configs missing their required inputs.
   EXPECT_EQ(reg.Create("cpu", DeviceConfig{}), nullptr);   // no CellRegistry
-  EXPECT_EQ(reg.Create("sim", DeviceConfig{}), nullptr);   // no CostModel
 }
 
 // A registered third-party backend is creatable by name, just like the
@@ -99,28 +88,13 @@ TEST(DeviceCapsTest, PerBackendFlagsMatchTheirContracts) {
   const auto cpu = reg.Create("cpu", CpuConfig(&fix.registry));
   ASSERT_NE(cpu, nullptr);
   EXPECT_TRUE(cpu->caps().real_compute);
-  EXPECT_FALSE(cpu->caps().virtual_time);
   EXPECT_TRUE(cpu->caps().requires_gather);
   EXPECT_TRUE(cpu->caps().supports_numa_pinning);
-  EXPECT_TRUE(cpu->caps().supports_watchdog);
-  for (int p = 0; p < kNumPrecisions; ++p) {
-    EXPECT_TRUE(cpu->caps().supported_precisions[p]) << p;
-  }
 
   const auto null_backend = reg.Create("null", CpuConfig(&fix.registry));
   ASSERT_NE(null_backend, nullptr);
   EXPECT_FALSE(null_backend->caps().real_compute);
-  EXPECT_FALSE(null_backend->caps().virtual_time);
   EXPECT_FALSE(null_backend->caps().requires_gather);
-  EXPECT_TRUE(null_backend->caps().supports_watchdog);
-
-  CostModel cost;
-  DeviceConfig sim_config;
-  sim_config.cost_model = &cost;
-  const auto sim = reg.Create("sim", sim_config);
-  ASSERT_NE(sim, nullptr);
-  EXPECT_TRUE(sim->caps().virtual_time);
-  EXPECT_FALSE(sim->caps().real_compute);
 }
 
 // ---- Events ----------------------------------------------------------------
@@ -239,34 +213,6 @@ TEST(NullBackendTest, SubmitReturnsZeroOutputsNoEarlierThanItsLatency) {
       }
     }
   }
-}
-
-// ---- Sim backend pricing ---------------------------------------------------
-
-TEST(SimBackendTest, PricesTasksThroughTheCostModel) {
-  TinyLstmFixture fix;
-  CostModel cost;
-  for (CellTypeId t = 0; t < fix.registry.NumTypes(); ++t) {
-    cost.SetCurve(t, UnitCostCurve());
-  }
-  cost.SetMigrationPenaltyMicros(7.5);
-
-  SimBackend backend(&cost);
-  EXPECT_TRUE(backend.caps().virtual_time);
-  const CellTypeId type = fix.model.cell_type();
-  for (int batch : {1, 4, 16}) {
-    EXPECT_DOUBLE_EQ(backend.EstimateTaskMicros(type, batch),
-                     cost.TaskMicros(type, batch));
-    EXPECT_GE(backend.EstimateTaskMicros(type, batch), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(backend.EstimateMigrationPenaltyMicros(), 7.5);
-}
-
-TEST(SimBackendTest, RealComputeBackendsDeclineVirtualTimePricing) {
-  TinyLstmFixture fix;
-  CpuBackend cpu(&fix.registry, Precision::kF32);
-  // < 0 = cannot price: SimWorkerPool refuses such backends up front.
-  EXPECT_LT(cpu.EstimateTaskMicros(fix.model.cell_type(), 4), 0.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// End-to-end tests for the low-precision execution path: per-CellDef
-// precision selection (CellRegistry::SetPrecision), the engine-wide
+// End-to-end tests for the low-precision execution path: the precision an
+// ExecContext carries into CellExecutor, the engine-wide
 // EngineOptions::precision knob, and the accuracy/determinism contract of
-// bf16/int8 inference against the fp32 reference (DESIGN.md "Low-precision
+// int8 inference against the fp32 reference (DESIGN.md "Low-precision
 // execution").
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@ namespace {
 // nonlinearities, so elementwise error stays close to the raw GEMM error;
 // bounds carry headroom over measured values (see DESIGN.md accuracy
 // table).
-constexpr float kBf16Tol = 2e-2f;
 constexpr float kInt8Tol = 6e-2f;
 
 // A mid-sized LSTM so quantization error is exercised across a real
@@ -48,12 +47,15 @@ struct LstmPair {
   LstmModel low_model;
 };
 
-std::pair<Tensor, Tensor> RunChain(const CellExecutor& exec,
-                                   const std::vector<Tensor>& xs) {
+// Runs the cell over `xs` at `precision`, as an engine would: the
+// precision rides in the ExecContext.
+std::pair<Tensor, Tensor> RunChain(const CellExecutor& exec, const std::vector<Tensor>& xs,
+                                   Precision precision = Precision::kF32) {
+  const ExecContext ctx{/*pool=*/nullptr, /*arena=*/nullptr, precision};
   Tensor h = Tensor::Zeros(Shape{1, kHidden});
   Tensor c = Tensor::Zeros(Shape{1, kHidden});
   for (const Tensor& x : xs) {
-    auto out = exec.Execute({&x, &h, &c});
+    auto out = exec.Execute({&x, &h, &c}, &ctx);
     h = std::move(out[0]);
     c = std::move(out[1]);
   }
@@ -75,56 +77,28 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.NumElements()) * sizeof(float)) == 0;
 }
 
-TEST(PrecisionTest, SetPrecisionRebuildsExecutorAtRequestedPrecision) {
-  LstmPair pair;
-  const CellTypeId type = pair.low_model.cell_type();
-  EXPECT_EQ(pair.low_registry.executor(type).precision(), Precision::kF32);
-  pair.low_registry.SetPrecision(type, Precision::kBf16);
-  EXPECT_EQ(pair.low_registry.executor(type).precision(), Precision::kBf16);
-  pair.low_registry.SetPrecision(type, Precision::kInt8);
-  EXPECT_EQ(pair.low_registry.executor(type).precision(), Precision::kInt8);
-}
-
-TEST(PrecisionTest, Bf16ChainTracksFp32Reference) {
-  LstmPair pair;
-  const auto xs = RandomInputs(8, 501);
-  const auto [ref_h, ref_c] =
-      RunChain(pair.ref_registry.executor(pair.ref_model.cell_type()), xs);
-  pair.low_registry.SetPrecision(pair.low_model.cell_type(), Precision::kBf16);
-  const auto [h, c] =
-      RunChain(pair.low_registry.executor(pair.low_model.cell_type()), xs);
-  EXPECT_TRUE(h.AllClose(ref_h, kBf16Tol));
-  EXPECT_TRUE(c.AllClose(ref_c, kBf16Tol));
-  // And bf16 differs from fp32 *somewhere*: the low-precision path really
-  // ran (a silent fall-through to fp32 would pass any tolerance).
-  EXPECT_FALSE(BitwiseEqual(h, ref_h));
-}
-
 TEST(PrecisionTest, Int8ChainTracksFp32Reference) {
   LstmPair pair;
   const auto xs = RandomInputs(8, 502);
   const auto [ref_h, ref_c] =
       RunChain(pair.ref_registry.executor(pair.ref_model.cell_type()), xs);
-  pair.low_registry.SetPrecision(pair.low_model.cell_type(), Precision::kInt8);
-  const auto [h, c] =
-      RunChain(pair.low_registry.executor(pair.low_model.cell_type()), xs);
+  const auto [h, c] = RunChain(pair.low_registry.executor(pair.low_model.cell_type()), xs,
+                               Precision::kInt8);
   EXPECT_TRUE(h.AllClose(ref_h, kInt8Tol));
   EXPECT_TRUE(c.AllClose(ref_c, kInt8Tol));
+  // And int8 differs from fp32 *somewhere*: the low-precision path really
+  // ran (a silent fall-through to fp32 would pass any tolerance).
   EXPECT_FALSE(BitwiseEqual(h, ref_h));
 }
 
 TEST(PrecisionTest, LowPrecisionChainsAreBitwiseRepeatable) {
-  for (Precision p : {Precision::kBf16, Precision::kInt8}) {
-    SCOPED_TRACE(PrecisionName(p));
-    LstmPair pair;
-    pair.low_registry.SetPrecision(pair.low_model.cell_type(), p);
-    const auto xs = RandomInputs(6, 503);
-    const CellExecutor& exec = pair.low_registry.executor(pair.low_model.cell_type());
-    const auto [h1, c1] = RunChain(exec, xs);
-    const auto [h2, c2] = RunChain(exec, xs);
-    EXPECT_TRUE(BitwiseEqual(h1, h2));
-    EXPECT_TRUE(BitwiseEqual(c1, c2));
-  }
+  LstmPair pair;
+  const auto xs = RandomInputs(6, 503);
+  const CellExecutor& exec = pair.low_registry.executor(pair.low_model.cell_type());
+  const auto [h1, c1] = RunChain(exec, xs, Precision::kInt8);
+  const auto [h2, c2] = RunChain(exec, xs, Precision::kInt8);
+  EXPECT_TRUE(BitwiseEqual(h1, h2));
+  EXPECT_TRUE(BitwiseEqual(c1, c2));
 }
 
 TEST(PrecisionTest, SyncEnginePrecisionKnobTracksReference) {

@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "src/device/sim_backend.h"
 #include "src/runtime/cost_model.h"
 #include "src/runtime/event_queue.h"
 #include "src/runtime/sim_worker.h"
@@ -209,11 +208,10 @@ class SimWorkerPoolTest : public ::testing::Test {
 
   EventQueue events_;
   CostModel model_;
-  SimBackend backend_{&model_};
 };
 
 TEST_F(SimWorkerPoolTest, ExecutesSubmittedTask) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   std::vector<uint64_t> done;
   pool.set_on_task_done([&](const BatchedTask& t) { done.push_back(t.id); });
   pool.Submit(0, MakeTask(7));
@@ -223,7 +221,7 @@ TEST_F(SimWorkerPoolTest, ExecutesSubmittedTask) {
 }
 
 TEST_F(SimWorkerPoolTest, StreamIsFifoAndSequential) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   std::vector<std::pair<uint64_t, double>> done;
   pool.set_on_task_done([&](const BatchedTask& t) { done.emplace_back(t.id, events_.Now()); });
   pool.Submit(0, MakeTask(1));
@@ -238,7 +236,7 @@ TEST_F(SimWorkerPoolTest, StreamIsFifoAndSequential) {
 }
 
 TEST_F(SimWorkerPoolTest, IdleFiresWhenStreamDrains) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   int idle_count = 0;
   pool.set_on_idle([&](int worker) {
     EXPECT_EQ(worker, 0);
@@ -251,7 +249,7 @@ TEST_F(SimWorkerPoolTest, IdleFiresWhenStreamDrains) {
 }
 
 TEST_F(SimWorkerPoolTest, TaskStartFiresBeforeDone) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   std::vector<std::string> log;
   pool.set_on_task_start([&](const BatchedTask&) { log.push_back("start@" + std::to_string(events_.Now())); });
   pool.set_on_task_done([&](const BatchedTask&) { log.push_back("done@" + std::to_string(events_.Now())); });
@@ -264,7 +262,7 @@ TEST_F(SimWorkerPoolTest, TaskStartFiresBeforeDone) {
 }
 
 TEST_F(SimWorkerPoolTest, WorkersRunInParallel) {
-  SimWorkerPool pool(2, &events_, &backend_);
+  SimWorkerPool pool(2, &events_, &model_);
   std::vector<double> done_times;
   pool.set_on_task_done([&](const BatchedTask&) { done_times.push_back(events_.Now()); });
   pool.Submit(0, MakeTask(1));
@@ -276,7 +274,7 @@ TEST_F(SimWorkerPoolTest, WorkersRunInParallel) {
 }
 
 TEST_F(SimWorkerPoolTest, ExplicitCostOverridesModel) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   BatchedTask task = MakeTask(1);
   task.explicit_cost_micros = 42.0;
   pool.Submit(0, std::move(task));
@@ -284,8 +282,29 @@ TEST_F(SimWorkerPoolTest, ExplicitCostOverridesModel) {
   EXPECT_DOUBLE_EQ(events_.Now(), 42.0);
 }
 
+TEST_F(SimWorkerPoolTest, MigratedSubgraphsPayTheModelsPenaltyEach) {
+  model_.SetMigrationPenaltyMicros(7.5);
+  SimWorkerPool pool(1, &events_, &model_);
+  BatchedTask task = MakeTask(1);
+  task.migrated_subgraphs = 2;
+  pool.Submit(0, std::move(task));
+  events_.RunAll();
+  EXPECT_DOUBLE_EQ(events_.Now(), 115.0);  // 100 us + 2 x 7.5 us
+  EXPECT_DOUBLE_EQ(pool.BusyMicros(0), 115.0);
+}
+
+// Without a cost model the pool prices only tasks that carry their own cost.
+TEST(SimWorkerPoolDeathTest, TaskWithoutExplicitCostNeedsACostModel) {
+  EventQueue events;
+  SimWorkerPool pool(1, &events, /*cost_model=*/nullptr);
+  BatchedTask task;
+  task.id = 3;
+  task.entries.push_back(TaskEntry{3, 0});
+  EXPECT_DEATH(pool.Submit(0, std::move(task)), "needs a cost model");
+}
+
 TEST_F(SimWorkerPoolTest, SubmitFromDoneCallbackContinuesStream) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   int completions = 0;
   pool.set_on_task_done([&](const BatchedTask& t) {
     ++completions;
@@ -300,7 +319,7 @@ TEST_F(SimWorkerPoolTest, SubmitFromDoneCallbackContinuesStream) {
 }
 
 TEST_F(SimWorkerPoolTest, AccountingCounters) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   pool.Submit(0, MakeTask(1, /*batch=*/4));
   pool.Submit(0, MakeTask(2, /*batch=*/2));
   events_.RunAll();
@@ -310,7 +329,7 @@ TEST_F(SimWorkerPoolTest, AccountingCounters) {
 }
 
 TEST_F(SimWorkerPoolTest, FindIdleWorker) {
-  SimWorkerPool pool(2, &events_, &backend_);
+  SimWorkerPool pool(2, &events_, &model_);
   EXPECT_EQ(pool.FindIdleWorker(), 0);
   pool.Submit(0, MakeTask(1));
   EXPECT_EQ(pool.FindIdleWorker(), 1);
@@ -321,7 +340,7 @@ TEST_F(SimWorkerPoolTest, FindIdleWorker) {
 }
 
 TEST_F(SimWorkerPoolTest, QueueDepthTracksStream) {
-  SimWorkerPool pool(1, &events_, &backend_);
+  SimWorkerPool pool(1, &events_, &model_);
   EXPECT_EQ(pool.QueueDepth(0), 0);
   pool.Submit(0, MakeTask(1));
   pool.Submit(0, MakeTask(2));

@@ -168,13 +168,13 @@ fi
 
 if [[ "$run_tiers" == 1 ]]; then
   echo "==> kernel-tiers: standalone ISA compiles + kernel tests under each cap"
-  g++ -std=c++17 -O2 -I. -mavx512bf16 -mavx512vnni \
+  g++ -std=c++17 -O2 -I. -mavx512f -mavx512vnni \
     -c src/tensor/gemm.cc -o build-check/gemm_isa_baseline.o
   g++ -std=c++17 -O2 -I. -c src/tensor/gemm.cc -o build-check/gemm_no_isa.o
   g++ -std=c++17 -O2 -I. -mavx512f -mavx2 -mfma \
     -c src/tensor/activation.cc -o build-check/activation_isa_baseline.o
   g++ -std=c++17 -O2 -I. -c src/tensor/activation.cc -o build-check/activation_no_isa.o
-  for cap in scalar avx2 avx512 avx512_bf16 avx512_vnni; do
+  for cap in scalar avx2 avx512 avx512_vnni; do
     echo "--> BM_GEMM_KERNEL=$cap"
     for t in gemm_test precision_test activation_test nn_test nn_models_test \
         determinism_test; do
