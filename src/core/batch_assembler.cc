@@ -52,8 +52,8 @@ void BatchAssembler::GatherInputs(const BatchedTask& task,
   ArenaScope arena_scope(arena);
   out->inputs.clear();
   out->inputs.reserve(static_cast<size_t>(def.NumInputs()));
-  // Each row is read in place: from the request's external tensor or from
-  // its output buffer, whose layout the plan fixed.
+  // Each row is read in place: from the request's external rows or from its
+  // output buffer, whose layout the plan fixed.
   std::vector<const void*> sources(static_cast<size_t>(batch));
   for (int slot = 0; slot < def.NumInputs(); ++slot) {
     const CellInputSpec& slot_spec = def.input_spec(slot);
@@ -61,6 +61,8 @@ void BatchAssembler::GatherInputs(const BatchedTask& task,
     out_dims.insert(out_dims.end(), slot_spec.row_shape.dims().begin(),
                     slot_spec.row_shape.dims().end());
     Tensor gathered = Tensor::Uninitialized(Shape(std::move(out_dims)), slot_spec.dtype);
+    const size_t row_bytes =
+        static_cast<size_t>(slot_spec.row_shape.NumElements()) * DTypeSize(slot_spec.dtype);
     Tensor zero_row;  // lazily built substitute source for poisoned rows
     for (int i = 0; i < batch; ++i) {
       if (poisoned != nullptr && (*poisoned)[static_cast<size_t>(i)] != 0) {
@@ -74,17 +76,13 @@ void BatchAssembler::GatherInputs(const BatchedTask& task,
       }
       const TaskEntry& entry = task.entries[static_cast<size_t>(i)];
       const RequestState* state = states[static_cast<size_t>(i)];
-      const ValueRef& ref = state->graph.node(entry.node).inputs[static_cast<size_t>(slot)];
+      const ValueRef& ref = state->graph.NodeInputs(entry.node)[static_cast<size_t>(slot)];
       if (ref.is_external()) {
-        BM_CHECK_LT(static_cast<size_t>(ref.external), state->externals.size());
-        const Tensor& ext = state->externals[static_cast<size_t>(ref.external)];
-        BM_CHECK(ext.dtype() == slot_spec.dtype && ext.shape().HasRowShape(slot_spec.row_shape) &&
-                 ext.shape().dims()[0] >= 1)
+        const ExternalRows& ext = state->externals;
+        BM_CHECK(ext.dtype(ref.external) == slot_spec.dtype && ext.bytes(ref.external) == row_bytes)
             << "external input " << ref.external << " of request " << entry.request
             << " does not fit input slot " << slot;
-        sources[static_cast<size_t>(i)] = ext.dtype() == DType::kF32
-                                              ? static_cast<const void*>(ext.f32())
-                                              : static_cast<const void*>(ext.i32());
+        sources[static_cast<size_t>(i)] = ext.Row(ref.external);
       } else {
         BM_CHECK(state->Produced(ref.node))
             << "node " << ref.node << " of request " << entry.request

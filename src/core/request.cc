@@ -6,6 +6,30 @@
 
 namespace batchmaker {
 
+ExternalRows::ExternalRows(std::vector<Tensor> externals)
+    : count_(static_cast<int>(externals.size())) {
+  if (externals.empty()) {
+    return;
+  }
+  size_t total = externals.size() * sizeof(Slot);
+  for (const Tensor& t : externals) {
+    total += static_cast<size_t>(t.NumElements()) * DTypeSize(t.dtype());
+  }
+  block_ = std::make_unique_for_overwrite<unsigned char[]>(total);
+  Slot* slots = reinterpret_cast<Slot*>(block_.get());
+  size_t offset = externals.size() * sizeof(Slot);
+  for (size_t i = 0; i < externals.size(); ++i) {
+    const Tensor& t = externals[i];
+    const size_t bytes = static_cast<size_t>(t.NumElements()) * DTypeSize(t.dtype());
+    slots[i] = Slot{offset, bytes, t.dtype()};
+    std::memcpy(block_.get() + offset,
+                t.dtype() == DType::kF32 ? static_cast<const void*>(t.f32())
+                                         : static_cast<const void*>(t.i32()),
+                bytes);
+    offset += bytes;
+  }
+}
+
 void RequestState::AllocateOutputBuffer() {
   BM_CHECK(output_block_ == nullptr);
   const size_t marks = static_cast<size_t>(plan->NumNodes());

@@ -68,6 +68,40 @@ using ResponseFn = std::function<void(RequestId, RequestStatus, std::vector<Tens
 // <eos>).
 using TerminationFn = std::function<bool(const RequestState&, int completed_node)>;
 
+// A request's external inputs, packed into one engine-owned block. The
+// engines build it inside Submit, on the submitting thread, from the
+// validated tensors, which die there; the request then reaches the manager
+// with all its externals in this one block, and the manager never frees a
+// client-allocated tensor. Each external keeps its dtype and its bytes
+// (one [1, row...] row for every external a node consumes); gathers read
+// the rows in place.
+class ExternalRows {
+ public:
+  ExternalRows() = default;  // no externals (virtual time)
+  explicit ExternalRows(std::vector<Tensor> externals);
+
+  bool empty() const { return count_ == 0; }
+  DType dtype(int index) const { return At(index).dtype; }
+  size_t bytes(int index) const { return At(index).bytes; }
+  const unsigned char* Row(int index) const { return block_.get() + At(index).offset; }
+
+ private:
+  struct Slot {
+    size_t offset = 0;  // from the start of the block
+    size_t bytes = 0;
+    DType dtype = DType::kF32;
+  };
+  const Slot& At(int index) const {
+    BM_CHECK_GE(index, 0);
+    BM_CHECK_LT(index, count_);
+    return reinterpret_cast<const Slot*>(block_.get())[index];
+  }
+
+  // count_ Slots, then every external's bytes back to back.
+  std::unique_ptr<unsigned char[]> block_;
+  int count_ = 0;
+};
+
 // The ready nodes of one subgraph. The list lives in the slots its request
 // reserves for the subgraph (RequestState::ready_slots); the subgraph's node
 // count is its capacity, which bounds it, since ready nodes are distinct
@@ -248,9 +282,9 @@ struct RequestState {
   double arrival_micros = 0.0;
   std::shared_ptr<const RequestPlan> plan;
 
-  // Real-compute mode only: external input tensors, indexed by the
+  // Real-compute mode only: external input rows, indexed by the
   // ValueRef::External indices the unfold function used.
-  std::vector<Tensor> externals;
+  ExternalRows externals;
 
   std::vector<NodeState> nodes;
   std::vector<std::unique_ptr<Subgraph>> subgraphs;

@@ -53,7 +53,7 @@ struct PredLists {
     std::vector<int> seen_by(static_cast<size_t>(n), -1);
     for (int id = 0; id < n; ++id) {
       begin[static_cast<size_t>(id)] = static_cast<int>(preds.size());
-      for (const ValueRef& ref : graph.node(id).inputs) {
+      for (const ValueRef& ref : graph.NodeInputs(id)) {
         if (!ref.is_external() && seen_by[static_cast<size_t>(ref.node)] != id) {
           seen_by[static_cast<size_t>(ref.node)] = id;
           preds.push_back(ref.node);
@@ -155,10 +155,10 @@ std::vector<bool> ComponentsInCycles(const PredLists& pred_lists, const std::vec
 void StructureKey(const CellGraph& graph, std::vector<int>* key) {
   key->clear();
   for (int id = 0; id < graph.NumNodes(); ++id) {
-    const CellNode& node = graph.node(id);
-    key->push_back(node.type);
-    key->push_back(static_cast<int>(node.inputs.size()));
-    for (const ValueRef& ref : node.inputs) {
+    const std::span<const ValueRef> inputs = graph.NodeInputs(id);
+    key->push_back(graph.NodeType(id));
+    key->push_back(static_cast<int>(inputs.size()));
+    for (const ValueRef& ref : inputs) {
       key->insert(key->end(), {ref.node, ref.output, ref.external});
     }
   }
@@ -187,7 +187,7 @@ RequestProcessor::RequestProcessor(const CellRegistry* registry,
 
 RequestState* RequestProcessor::AddRequest(RequestId id, CellGraph graph,
                                            double arrival_micros,
-                                           std::vector<Tensor> externals) {
+                                           ExternalRows externals) {
   BM_CHECK_GT(graph.NumNodes(), 0) << "empty cell graph";
   auto [it, inserted] = requests_.try_emplace(id);
   BM_CHECK(inserted) << "duplicate request id " << id;
@@ -257,7 +257,7 @@ std::shared_ptr<RequestPlan> RequestProcessor::BuildPlan(const CellGraph& graph)
   const int n = graph.NumNodes();
   auto plan = std::make_shared<RequestPlan>();
   const PredLists pred_lists(graph);
-  const auto type_of = [&graph](int id) { return graph.node(id).type; };
+  const auto type_of = [&graph](int id) { return graph.NodeType(id); };
 
   // Connected components over same-type edges, numbered in order of their
   // lowest node id.
@@ -335,21 +335,30 @@ std::shared_ptr<RequestPlan> RequestProcessor::BuildPlan(const CellGraph& graph)
     }
   }
 
-  // Successors split by kind, each in the graph's (ascending) order, and the
-  // output buffer layout: every row of every node, back to back.
+  // Every node's distinct successors, ascending: the predecessor lists
+  // inverted.
+  std::vector<std::vector<int>> succs_of(static_cast<size_t>(n));
+  for (int id = 0; id < n; ++id) {
+    for (int pred : pred_lists.of(id)) {
+      succs_of[static_cast<size_t>(pred)].push_back(id);
+    }
+  }
+
+  // Successors split by kind, each in ascending order, and the output
+  // buffer layout: every row of every node, back to back.
   plan->nodes.resize(static_cast<size_t>(n));
   for (int id = 0; id < n; ++id) {
     RequestPlan::NodePlan& np = plan->nodes[static_cast<size_t>(id)];
     const auto same_subgraph = [&init, id](int succ) {
       return init[static_cast<size_t>(succ)].subgraph == init[static_cast<size_t>(id)].subgraph;
     };
+    const std::vector<int>& all = succs_of[static_cast<size_t>(id)];
     std::vector<int>& succs = plan->successors;
     np.succ_begin = static_cast<int>(succs.size());
-    std::copy_if(graph.Successors(id).begin(), graph.Successors(id).end(),
-                 std::back_inserter(succs), same_subgraph);
+    std::copy_if(all.begin(), all.end(), std::back_inserter(succs), same_subgraph);
     np.succ_split = static_cast<int>(succs.size());
-    std::copy_if(graph.Successors(id).begin(), graph.Successors(id).end(),
-                 std::back_inserter(succs), [&](int succ) { return !same_subgraph(succ); });
+    std::copy_if(all.begin(), all.end(), std::back_inserter(succs),
+                 [&](int succ) { return !same_subgraph(succ); });
     np.succ_end = static_cast<int>(succs.size());
 
     np.output_begin = static_cast<int>(plan->outputs.size());

@@ -43,11 +43,11 @@ class RequestProcessor {
   // Admits a request: looks up (or builds and caches) the plan for its
   // graph's structure, then releases dependency-free subgraphs via
   // on_subgraph_ready. The graph must already be valid against the
-  // registry and `externals`: the engines validate each submission once,
-  // before admission. `externals` is empty in simulation mode. Returns the
-  // request state.
+  // registry and the externals the rows were packed from: the engines
+  // validate each submission once, before admission. `externals` is empty
+  // in simulation mode. Returns the request state.
   RequestState* AddRequest(RequestId id, CellGraph graph, double arrival_micros,
-                           std::vector<Tensor> externals = {});
+                           ExternalRows externals = {});
 
   // Marks the first `count` nodes of sg->ready as scheduled (a task just
   // took them) and unlocks their same-subgraph successors (Algorithm 1,

@@ -142,7 +142,7 @@ struct Server::WorkerPipeline {
     } else if (!failed_produced.empty()) {
       poisoned->assign(entries.size(), 0);
       for (size_t i = 0; i < entries.size(); ++i) {
-        for (const ValueRef& ref : entries[i].state->graph.node(entries[i].node).inputs) {
+        for (const ValueRef& ref : entries[i].state->graph.NodeInputs(entries[i].node)) {
           if (!ref.is_external() &&
               failed_produced.count(HazardKey(entries[i].request, ref.node)) != 0) {
             (*poisoned)[i] = 1;
@@ -459,7 +459,7 @@ std::string Server::ValidateSubmission(const CellGraph& graph,
     if (ref.node < 0 || ref.node >= graph.NumNodes()) {
       return "outputs_wanted references nonexistent node " + std::to_string(ref.node);
     }
-    const CellDef& def = registry_->def(graph.node(ref.node).type);
+    const CellDef& def = registry_->def(graph.NodeType(ref.node));
     if (ref.output < 0 || ref.output >= def.NumOutputs()) {
       return "outputs_wanted references nonexistent output " + std::to_string(ref.output);
     }
@@ -485,7 +485,9 @@ RequestId Server::Submit(CellGraph graph, std::vector<Tensor> externals,
   if (accepted) {
     ShardArrival msg;
     msg.graph = std::move(graph);
-    msg.externals = std::move(externals);
+    // The rows cross to the manager in one block; the caller's tensors die
+    // here, on the thread that allocated them.
+    msg.externals = ExternalRows(std::move(externals));
     msg.outputs_wanted = std::move(outputs_wanted);
     msg.on_response = std::move(on_response);
     msg.terminate = std::move(terminate);

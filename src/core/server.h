@@ -161,6 +161,8 @@ class Server {
   // return. Per-request parameters (deadline override, declared early
   // termination, priority) ride in `opts`; a content-dependent TerminationFn
   // may be passed instead of (not together with) opts.terminate_after_node.
+  // An accepted request's externals are copied into one engine-owned block
+  // (ExternalRows) and the tensors destroyed before Submit returns.
   RequestId Submit(CellGraph graph, std::vector<Tensor> externals,
                    std::vector<ValueRef> outputs_wanted, ResponseFn on_response,
                    SubmitOptions opts = {}, TerminationFn terminate = nullptr);

@@ -54,7 +54,7 @@ TerminationFn TerminateAfterNode(int node);
 struct ShardArrival {
   RequestId id = 0;
   CellGraph graph;
-  std::vector<Tensor> externals;  // empty in virtual time
+  ExternalRows externals;  // empty in virtual time
   std::vector<ValueRef> outputs_wanted;
   ResponseFn on_response;  // may be null
   TerminationFn terminate;  // may be null

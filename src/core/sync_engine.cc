@@ -103,7 +103,7 @@ RequestId SyncEngine::Submit(CellGraph graph, std::vector<Tensor> externals,
   outputs_wanted_.emplace(id, std::move(outputs_wanted));
   trace_.RequestArrival(id, graph.NumNodes());
   processor_->AddRequest(id, std::move(graph), /*arrival_micros=*/0.0,
-                         std::move(externals));
+                         ExternalRows(std::move(externals)));
   return id;
 }
 

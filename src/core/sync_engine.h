@@ -36,7 +36,9 @@ class SyncEngine {
   // request id. Of SubmitOptions, terminate_after_node is honoured
   // (remaining cells are cancelled once that node completes);
   // deadline_micros and priority are accepted but ignored — the engine has
-  // no queueing clock to shed against and no shards to steal across.
+  // no queueing clock to shed against and no shards to steal across. As
+  // in the Server, the externals are packed into one block (ExternalRows)
+  // and the tensors destroyed before Submit returns.
   RequestId Submit(CellGraph graph, std::vector<Tensor> externals,
                    std::vector<ValueRef> outputs_wanted, SubmitOptions opts = {});
 

@@ -23,9 +23,9 @@
 //     by one worker's execution thread (Prefault/Reset from that thread).
 //   * CreateQueue() is called on the worker's *execution* thread, after
 //     any NUMA pinning — so backend allocations inside the queue (thread
-//     pools, scratch arenas, weight replicas) inherit the thread's
-//     affinity and first-touch placement. The queue dies on that thread
-//     too (quarantine respawns re-create it).
+//     pools, scratch arenas) inherit the thread's affinity and first-touch
+//     placement. The queue dies on that thread too (quarantine respawns
+//     re-create it).
 //   * Gather(), Submit() and Scatter() all run on the worker's execution
 //     thread, one task at a time in stream order: the engine gathers,
 //     submits and scatters task t before it gathers task t+1.
@@ -73,7 +73,7 @@ struct DeviceCaps {
   // runs — stream-order invariants are backend-agnostic).
   bool requires_gather = false;
   // Worker threads may be pinned to NUMA nodes and benefit from node-local
-  // staging/scratch placement and weight replicas.
+  // staging/scratch placement.
   bool supports_numa_pinning = false;
 };
 

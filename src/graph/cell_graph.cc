@@ -1,50 +1,31 @@
 #include "src/graph/cell_graph.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "src/util/logging.h"
 
 namespace batchmaker {
 
-int CellGraph::AddNode(CellTypeId type, std::vector<ValueRef> inputs) {
-  const int id = static_cast<int>(nodes_.size());
-  std::set<int> pred_nodes;
+int CellGraph::AddNode(CellTypeId type, const std::vector<ValueRef>& inputs) {
+  const int id = NumNodes();
   for (const ValueRef& ref : inputs) {
     if (ref.is_external()) {
       BM_CHECK_GE(ref.external, 0);
     } else {
       BM_CHECK_GE(ref.node, 0);
       BM_CHECK_LT(ref.node, id) << "cell graph nodes must reference earlier nodes";
-      pred_nodes.insert(ref.node);
     }
   }
-  nodes_.push_back(CellNode{type, std::move(inputs)});
-  successors_.emplace_back();
-  num_node_preds_.push_back(static_cast<int>(pred_nodes.size()));
-  for (int pred : pred_nodes) {
-    successors_[static_cast<size_t>(pred)].push_back(id);
-  }
+  nodes_.push_back(Node{type, static_cast<int>(inputs_.size()), static_cast<int>(inputs.size())});
+  inputs_.insert(inputs_.end(), inputs.begin(), inputs.end());
   return id;
 }
 
-const CellNode& CellGraph::node(int id) const {
+const CellGraph::Node& CellGraph::At(int id) const {
   BM_CHECK_GE(id, 0);
   BM_CHECK_LT(id, NumNodes());
   return nodes_[static_cast<size_t>(id)];
-}
-
-const std::vector<int>& CellGraph::Successors(int id) const {
-  BM_CHECK_GE(id, 0);
-  BM_CHECK_LT(id, NumNodes());
-  return successors_[static_cast<size_t>(id)];
-}
-
-int CellGraph::NumNodePredecessors(int id) const {
-  BM_CHECK_GE(id, 0);
-  BM_CHECK_LT(id, NumNodes());
-  return num_node_preds_[static_cast<size_t>(id)];
 }
 
 namespace {
@@ -77,17 +58,18 @@ std::string CellGraph::FirstViolation(const CellRegistry& registry, int num_exte
   // independent checks in a tight loop overlap their misses.
   std::vector<const CellInputSpec*> feeds(externals != nullptr ? externals->size() : 0, nullptr);
   for (int id = 0; id < NumNodes(); ++id) {
-    const CellNode& n = nodes_[static_cast<size_t>(id)];
-    if (n.type < 0 || n.type >= registry.NumTypes()) {
-      return Describe("unknown cell type ", n.type, " in node ", id);
+    const CellTypeId type = NodeType(id);
+    const std::span<const ValueRef> inputs = NodeInputs(id);
+    if (type < 0 || type >= registry.NumTypes()) {
+      return Describe("unknown cell type ", type, " in node ", id);
     }
-    const CellDef& def = registry.def(n.type);
-    if (static_cast<int>(n.inputs.size()) != def.NumInputs()) {
+    const CellDef& def = registry.def(type);
+    if (static_cast<int>(inputs.size()) != def.NumInputs()) {
       return Describe("node ", id, " input arity mismatch for cell '", def.name(), "': got ",
-                      n.inputs.size(), ", expected ", def.NumInputs());
+                      inputs.size(), ", expected ", def.NumInputs());
     }
-    for (int i = 0; i < static_cast<int>(n.inputs.size()); ++i) {
-      const ValueRef& ref = n.inputs[static_cast<size_t>(i)];
+    for (int i = 0; i < static_cast<int>(inputs.size()); ++i) {
+      const ValueRef& ref = inputs[static_cast<size_t>(i)];
       const CellInputSpec& spec = def.input_spec(i);
       if (ref.is_external()) {
         if (ref.external >= num_externals) {
@@ -109,8 +91,7 @@ std::string CellGraph::FirstViolation(const CellRegistry& registry, int num_exte
       if (ref.node < 0 || ref.node >= id) {
         return Describe("node ", id, " references invalid node ", ref.node);
       }
-      const CellNode& producer = nodes_[static_cast<size_t>(ref.node)];
-      const CellDef& producer_def = registry.def(producer.type);
+      const CellDef& producer_def = registry.def(NodeType(ref.node));
       if (ref.output < 0 || ref.output >= producer_def.NumOutputs()) {
         return Describe("node ", id, " references missing output ", ref.output, " of node ",
                         ref.node);
@@ -138,12 +119,8 @@ std::string CellGraph::FirstViolation(const CellRegistry& registry, int num_exte
 
 int CellGraph::NumExternalsReferenced() const {
   int max_ext = -1;
-  for (const CellNode& n : nodes_) {
-    for (const ValueRef& ref : n.inputs) {
-      if (ref.is_external()) {
-        max_ext = std::max(max_ext, ref.external);
-      }
-    }
+  for (const ValueRef& ref : inputs_) {
+    max_ext = std::max(max_ext, ref.external);
   }
   return max_ext + 1;
 }
@@ -152,10 +129,10 @@ std::string CellGraph::DebugString(const CellRegistry& registry) const {
   std::ostringstream os;
   os << "cell graph with " << NumNodes() << " nodes";
   for (int id = 0; id < NumNodes(); ++id) {
-    const CellNode& n = nodes_[static_cast<size_t>(id)];
-    os << "\n  n" << id << " : " << registry.def(n.type).name() << "(";
-    for (size_t i = 0; i < n.inputs.size(); ++i) {
-      const ValueRef& ref = n.inputs[i];
+    const std::span<const ValueRef> inputs = NodeInputs(id);
+    os << "\n  n" << id << " : " << registry.def(NodeType(id)).name() << "(";
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const ValueRef& ref = inputs[i];
       os << (i > 0 ? ", " : "");
       if (ref.is_external()) {
         os << "ext" << ref.external;

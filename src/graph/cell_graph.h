@@ -6,10 +6,15 @@
 // same graph, or an external input tensor supplied with the request (e.g.
 // the word at one sequence position, or the initial hidden state). The
 // graph is a DAG by construction: nodes may only reference earlier nodes.
+//
+// Every node's inputs live in one flat array, in node order, so a graph is
+// two heap blocks whatever its length: copying one (as a client does per
+// request) costs two allocations, and so does freeing it.
 
 #ifndef SRC_GRAPH_CELL_GRAPH_H_
 #define SRC_GRAPH_CELL_GRAPH_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,26 +37,20 @@ struct ValueRef {
   bool is_external() const { return external >= 0; }
 };
 
-struct CellNode {
-  CellTypeId type = kInvalidCellType;
-  std::vector<ValueRef> inputs;
-};
-
 class CellGraph {
  public:
   CellGraph() = default;
 
   // Appends a node; `inputs` node references must be < the new node's id.
-  int AddNode(CellTypeId type, std::vector<ValueRef> inputs);
+  int AddNode(CellTypeId type, const std::vector<ValueRef>& inputs);
 
   int NumNodes() const { return static_cast<int>(nodes_.size()); }
-  const CellNode& node(int id) const;
-
-  // Ids of nodes that consume at least one output of `id`.
-  const std::vector<int>& Successors(int id) const;
-  // Number of distinct predecessor *nodes* of `id` (external inputs do not
-  // count).
-  int NumNodePredecessors(int id) const;
+  CellTypeId NodeType(int id) const { return At(id).type; }
+  // The node's inputs, in the cell's input-slot order.
+  std::span<const ValueRef> NodeInputs(int id) const {
+    const Node& n = At(id);
+    return {inputs_.data() + n.input_begin, static_cast<size_t>(n.num_inputs)};
+  }
 
   // Checks the graph against a registry: valid type ids, per-node input
   // arity matching the cell definition, matching value dtypes/shapes along
@@ -79,9 +78,15 @@ class CellGraph {
   std::string FirstViolation(const CellRegistry& registry, int num_externals,
                              const std::vector<Tensor>* externals) const;
 
-  std::vector<CellNode> nodes_;
-  std::vector<std::vector<int>> successors_;
-  std::vector<int> num_node_preds_;
+  struct Node {
+    CellTypeId type = kInvalidCellType;
+    int input_begin = 0;  // index of the node's first input in inputs_
+    int num_inputs = 0;
+  };
+  const Node& At(int id) const;
+
+  std::vector<Node> nodes_;
+  std::vector<ValueRef> inputs_;  // every node's inputs, back to back
 };
 
 }  // namespace batchmaker

@@ -162,7 +162,7 @@ TEST_F(AttentionModelTest, UnfoldStructureAndValidation) {
   g.Validate(registry_, src + 6);
   // Decoder nodes land where DecoderNode says.
   for (int t = 0; t < dec; ++t) {
-    EXPECT_EQ(g.node(model_.DecoderNode(src, t)).type, model_.decoder_type());
+    EXPECT_EQ(g.NodeType(model_.DecoderNode(src, t)), model_.decoder_type());
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/sim_engine.h"
@@ -187,9 +188,9 @@ TEST(StackedLstmTest, UnfoldLatticeStructure) {
   EXPECT_EQ(g.NumNodes(), 8);
   g.Validate(registry, length + 2 * 2);
   // Layer-1 step-2 consumes layer-0 step-2's h and layer-1 step-1's state.
-  const CellNode& node = g.node(StackedLstmModel::NodeId(length, 1, 2));
-  EXPECT_EQ(node.inputs[0].node, StackedLstmModel::NodeId(length, 0, 2));
-  EXPECT_EQ(node.inputs[1].node, StackedLstmModel::NodeId(length, 1, 1));
+  const std::span<const ValueRef> inputs = g.NodeInputs(StackedLstmModel::NodeId(length, 1, 2));
+  EXPECT_EQ(inputs[0].node, StackedLstmModel::NodeId(length, 0, 2));
+  EXPECT_EQ(inputs[1].node, StackedLstmModel::NodeId(length, 1, 1));
 }
 
 TEST(StackedLstmTest, MatchesManualTwoLayerRun) {
@@ -312,9 +313,9 @@ TEST(BidiLstmTest, UnfoldValidatesAndCombines) {
   g.Validate(registry, length + 4);
   // Combiner for position 0 fuses forward node 0 and backward node
   // length + (length-1).
-  const CellNode& comb = g.node(BidiLstmModel::CombinerNode(length, 0));
-  EXPECT_EQ(comb.inputs[0].node, 0);
-  EXPECT_EQ(comb.inputs[1].node, length + length - 1);
+  const std::span<const ValueRef> comb = g.NodeInputs(BidiLstmModel::CombinerNode(length, 0));
+  EXPECT_EQ(comb[0].node, 0);
+  EXPECT_EQ(comb[1].node, length + length - 1);
 }
 
 TEST(BidiLstmTest, MatchesManualBidirectionalRun) {

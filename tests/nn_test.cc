@@ -134,10 +134,10 @@ TEST(LstmTest, UnfoldChainStructure) {
   const CellGraph g = model.Unfold(4);
   EXPECT_EQ(g.NumNodes(), 4);
   // Node 0 uses externals only; later nodes chain h/c.
-  EXPECT_TRUE(g.node(0).inputs[1].is_external());
-  EXPECT_FALSE(g.node(1).inputs[1].is_external());
-  EXPECT_EQ(g.node(3).inputs[1].node, 2);
-  EXPECT_EQ(g.node(3).inputs[2].output, 1);
+  EXPECT_TRUE(g.NodeInputs(0)[1].is_external());
+  EXPECT_FALSE(g.NodeInputs(1)[1].is_external());
+  EXPECT_EQ(g.NodeInputs(3)[1].node, 2);
+  EXPECT_EQ(g.NodeInputs(3)[2].output, 1);
   g.Validate(registry, /*num_externals=*/6);
 }
 
@@ -193,14 +193,14 @@ TEST(Seq2SeqTest, UnfoldShapeAndFeedPrevious) {
                            Seq2SeqSpec{.vocab = 50, .embed_dim = 4, .hidden = 4}, &rng);
   const CellGraph g = model.Unfold(3, 2);
   EXPECT_EQ(g.NumNodes(), 5);
-  EXPECT_EQ(g.node(2).type, model.encoder_type());
-  EXPECT_EQ(g.node(3).type, model.decoder_type());
+  EXPECT_EQ(g.NodeType(2), model.encoder_type());
+  EXPECT_EQ(g.NodeType(3), model.decoder_type());
   // First decoder consumes the <go> external and encoder state.
-  EXPECT_TRUE(g.node(3).inputs[0].is_external());
-  EXPECT_EQ(g.node(3).inputs[1].node, 2);
+  EXPECT_TRUE(g.NodeInputs(3)[0].is_external());
+  EXPECT_EQ(g.NodeInputs(3)[1].node, 2);
   // Second decoder consumes the previous decoder's token output (index 2).
-  EXPECT_EQ(g.node(4).inputs[0].node, 3);
-  EXPECT_EQ(g.node(4).inputs[0].output, 2);
+  EXPECT_EQ(g.NodeInputs(4)[0].node, 3);
+  EXPECT_EQ(g.NodeInputs(4)[0].output, 2);
   g.Validate(registry, 6);
 }
 
@@ -300,7 +300,7 @@ TEST(TreeLstmTest, UnfoldCompleteTree) {
   int leaves = 0;
   int internals = 0;
   for (int i = 0; i < g.NumNodes(); ++i) {
-    if (g.node(i).type == model.leaf_type()) {
+    if (g.NodeType(i) == model.leaf_type()) {
       ++leaves;
     } else {
       ++internals;

@@ -190,13 +190,13 @@ TEST_P(TaskInvariantTest, TasksRespectTypingBatchingAndDependencies) {
       for (const TaskEntry& entry : task.entries) {
         // Typing: every node in the task has the task's cell type.
         const CellGraph& graph = graphs.at(entry.request);
-        EXPECT_EQ(graph.node(entry.node).type, task.type);
+        EXPECT_EQ(graph.NodeType(entry.node), task.type);
         // No double scheduling.
         EXPECT_TRUE(scheduled_nodes.emplace(entry.request, entry.node).second)
             << "node scheduled twice";
         // Dependencies: node-producers must be scheduled already (same
         // worker FIFO order in this single-stream harness means executed).
-        for (const ValueRef& ref : graph.node(entry.node).inputs) {
+        for (const ValueRef& ref : graph.NodeInputs(entry.node)) {
           if (!ref.is_external()) {
             EXPECT_TRUE(scheduled_nodes.count({entry.request, ref.node}) > 0)
                 << "consumed before produced";

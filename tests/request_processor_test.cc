@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -287,7 +288,7 @@ ReferencePartition PartitionForReference(const CellGraph& g) {
   const int n = g.NumNodes();
   std::vector<std::set<int>> preds(static_cast<size_t>(n));
   for (int id = 0; id < n; ++id) {
-    for (const ValueRef& ref : g.node(id).inputs) {
+    for (const ValueRef& ref : g.NodeInputs(id)) {
       if (!ref.is_external()) {
         preds[static_cast<size_t>(id)].insert(ref.node);
       }
@@ -300,7 +301,7 @@ ReferencePartition PartitionForReference(const CellGraph& g) {
   };
   for (int id = 0; id < n; ++id) {
     for (int p : preds[static_cast<size_t>(id)]) {
-      if (g.node(p).type == g.node(id).type) {
+      if (g.NodeType(p) == g.NodeType(id)) {
         parent[static_cast<size_t>(find(p))] = find(id);
       }
     }
@@ -346,7 +347,7 @@ ReferencePartition PartitionForReference(const CellGraph& g) {
     const auto [it, fresh] =
         key_to_sg.emplace(in_cycle ? -1 - id : c, static_cast<int>(ref.sg_type.size()));
     if (fresh) {
-      ref.sg_type.push_back(g.node(id).type);
+      ref.sg_type.push_back(g.NodeType(id));
       ref.sg_nodes.emplace_back();
       ref.sg_unmet_external.push_back(0);
     }
@@ -539,13 +540,16 @@ TEST(PlanCacheTest, AttentionDecoderSplitsItsCycleIntoSingletons) {
   EXPECT_EQ(decoder_subgraphs, 3);
 }
 
-// Rebuilds `graph` node by node, letting `edit` change a node on the way.
-CellGraph Rebuild(const CellGraph& graph, const std::function<void(int, CellNode*)>& edit) {
+// Rebuilds `graph` node by node, letting `edit` change a node's type or
+// inputs on the way.
+CellGraph Rebuild(const CellGraph& graph,
+                  const std::function<void(int, CellTypeId*, std::vector<ValueRef>*)>& edit) {
   CellGraph out;
   for (int id = 0; id < graph.NumNodes(); ++id) {
-    CellNode node = graph.node(id);
-    edit(id, &node);
-    out.AddNode(node.type, node.inputs);
+    CellTypeId type = graph.NodeType(id);
+    std::vector<ValueRef> inputs(graph.NodeInputs(id).begin(), graph.NodeInputs(id).end());
+    edit(id, &type, &inputs);
+    out.AddNode(type, inputs);
   }
   return out;
 }
@@ -555,9 +559,9 @@ TEST(PlanCacheTest, OneEdgeOrOneTypeApartGetsItsOwnPlan) {
   ProcessorRun run(&zoo.registry);
   const CellGraph chain = zoo.lstm.Unfold(4);
   // Node 2 reads its h from node 0 instead of node 1.
-  const CellGraph rewired = Rebuild(chain, [](int id, CellNode* node) {
+  const CellGraph rewired = Rebuild(chain, [](int id, CellTypeId*, std::vector<ValueRef>* inputs) {
     if (id == 2) {
-      for (ValueRef& ref : node->inputs) {
+      for (ValueRef& ref : *inputs) {
         if (!ref.is_external() && ref.node == 1 && ref.output == 0) {
           ref.node = 0;
         }
@@ -566,9 +570,9 @@ TEST(PlanCacheTest, OneEdgeOrOneTypeApartGetsItsOwnPlan) {
   });
   const CellGraph seq = zoo.seq2seq.Unfold(3, 3);
   // The last decoder step runs as an encoder cell.
-  const CellGraph retyped = Rebuild(seq, [&](int id, CellNode* node) {
+  const CellGraph retyped = Rebuild(seq, [&](int id, CellTypeId* type, std::vector<ValueRef>*) {
     if (id == seq.NumNodes() - 1) {
-      node->type = zoo.seq2seq.encoder_type();
+      *type = zoo.seq2seq.encoder_type();
     }
   });
   RequestId id = 1;
@@ -644,15 +648,16 @@ TEST(RequestProcessorTest, PoisonedRowsGatherAsZerosBesideCleanOnes) {
   ProcessorHarness h(&fix.registry);
   Rng rng(3);
   std::vector<RequestState*> states;
+  std::vector<std::vector<Tensor>> sent;
   BatchedTask task;
   task.type = fix.model.cell_type();
   for (RequestId id : {1, 2}) {
     // Unfold(1): x0, h0, c0.
-    std::vector<Tensor> ext;
+    std::vector<Tensor>& ext = sent.emplace_back();
     for (int i = 0; i < 3; ++i) {
       ext.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
     }
-    states.push_back(h.processor().AddRequest(id, fix.model.Unfold(1), 0.0, std::move(ext)));
+    states.push_back(h.processor().AddRequest(id, fix.model.Unfold(1), 0.0, ExternalRows(ext)));
     task.entries.push_back(TaskEntry{id, 0});
   }
   const BatchAssembler assembler(&fix.registry);
@@ -662,7 +667,7 @@ TEST(RequestProcessorTest, PoisonedRowsGatherAsZerosBesideCleanOnes) {
   ASSERT_EQ(gathered.inputs.size(), 3u);
   for (int slot = 0; slot < 3; ++slot) {
     const Tensor& batch = gathered.inputs[static_cast<size_t>(slot)];
-    const Tensor& clean = states[1]->externals[static_cast<size_t>(slot)];
+    const Tensor& clean = sent[1][static_cast<size_t>(slot)];
     for (int64_t c = 0; c < 4; ++c) {
       EXPECT_EQ(batch.At(0, c), 0.0f) << "slot " << slot;
       EXPECT_EQ(batch.At(1, c), clean.At(0, c)) << "slot " << slot;
@@ -670,12 +675,79 @@ TEST(RequestProcessorTest, PoisonedRowsGatherAsZerosBesideCleanOnes) {
   }
 }
 
+TEST(RequestProcessorTest, MixedDtypeExternalsGatherTheCallersBytes) {
+  TinySeq2SeqFixture fix;
+  ProcessorHarness h(&fix.registry);
+  Rng rng(5);
+  std::vector<RequestState*> states;
+  std::vector<std::vector<Tensor>> sent;
+  BatchedTask task;
+  task.type = fix.model.encoder_type();
+  for (RequestId id : {1, 2, 3}) {
+    // Unfold(1, 1): the source token, the <go> token, h0 and c0.
+    std::vector<Tensor>& ext = sent.emplace_back();
+    ext.push_back(ExternalTokenTensor(static_cast<int32_t>(7 * id)));
+    ext.push_back(ExternalTokenTensor(0));
+    ext.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
+    ext.push_back(Tensor::RandomUniform(Shape{1, 4}, 1.0f, &rng));
+    const CellGraph graph = fix.model.Unfold(1, 1);
+    ASSERT_EQ(graph.ValidateOrError(fix.registry, ext), "");
+    states.push_back(h.processor().AddRequest(id, CellGraph(graph), 0.0, ExternalRows(ext)));
+    task.entries.push_back(TaskEntry{id, 0});
+  }
+  const BatchAssembler assembler(&fix.registry);
+  GatheredBatch gathered;
+  assembler.GatherInputs(task, states, &gathered);
+  // The encoder step reads the source token, h0 and c0.
+  const int feeds[] = {0, 2, 3};
+  ASSERT_EQ(gathered.inputs.size(), 3u);
+  for (int slot = 0; slot < 3; ++slot) {
+    const Tensor& batch = gathered.inputs[static_cast<size_t>(slot)];
+    for (size_t r = 0; r < sent.size(); ++r) {
+      const Tensor& caller = sent[r][static_cast<size_t>(feeds[slot])];
+      ASSERT_EQ(batch.dtype(), caller.dtype()) << "slot " << slot;
+      const size_t bytes = static_cast<size_t>(caller.NumElements()) * DTypeSize(caller.dtype());
+      const auto* row = (batch.dtype() == DType::kI32
+                             ? reinterpret_cast<const unsigned char*>(batch.i32())
+                             : reinterpret_cast<const unsigned char*>(batch.f32())) +
+                        r * bytes;
+      const void* want = caller.dtype() == DType::kI32 ? static_cast<const void*>(caller.i32())
+                                                        : static_cast<const void*>(caller.f32());
+      EXPECT_EQ(std::memcmp(row, want, bytes), 0) << "slot " << slot << ", request " << r;
+    }
+  }
+}
+
+TEST(RequestProcessorTest, DuplicateEdgeCountsOnce) {
+  CellRegistry registry;
+  // A cell with two inputs of the same shape.
+  auto def = std::make_unique<CellDef>("pair");
+  const int a = def->AddInput("a", Shape{3});
+  const int b = def->AddInput("b", Shape{3});
+  def->MarkOutput(def->AddOp(OpKind::kAdd, "s", {a, b}));
+  def->Finalize();
+  const CellTypeId t = registry.Register(std::move(def));
+  CellGraph g;
+  const int n0 = g.AddNode(t, {ValueRef::External(0), ValueRef::External(1)});
+  const int n1 = g.AddNode(t, {ValueRef::Output(n0, 0), ValueRef::Output(n0, 0)});
+
+  ProcessorHarness h(&registry);
+  RequestState* state = h.processor().AddRequest(1, std::move(g), 0.0);
+  EXPECT_EQ(state->nodes[static_cast<size_t>(n1)].unmet_internal, 1);
+  EXPECT_EQ(state->plan->InternalSuccessors(n0).size(), 1u);
+  ASSERT_EQ(h.ready_subgraphs().size(), 1u);
+  Subgraph* sg = h.ready_subgraphs()[0];
+  EXPECT_EQ(sg->ready, std::vector<int>{n0});
+  h.ScheduleAllReady(sg);
+  EXPECT_EQ(sg->ready, std::vector<int>{n1});
+}
+
 TEST(RequestProcessorDeathTest, GatherOfAnUnscatteredProducerAborts) {
   TinyLstmFixture fix;
   ProcessorHarness h(&fix.registry);
   // Unfold(2): x0, x1, then h0 and c0.
   RequestState* state = h.processor().AddRequest(
-      1, fix.model.Unfold(2), 0.0, std::vector<Tensor>(4, Tensor::Zeros(Shape{1, 4})));
+      1, fix.model.Unfold(2), 0.0, ExternalRows(std::vector<Tensor>(4, Tensor::Zeros(Shape{1, 4}))));
   Subgraph* sg = h.ready_subgraphs()[0];
   BatchedTask producer = h.ScheduleAllReady(sg);  // node 0
   BatchedTask consumer = h.ScheduleAllReady(sg);  // node 1 reads node 0's h and c

@@ -11,7 +11,8 @@
 #   --perf-smoke  additionally run the fig07 + overload perf-smoke points
 #                 and compare p50/p99 against
 #                 bench/baselines/BENCH_fig07_baseline.json
-#                 (mirrors the ci.yml perf-smoke job)
+#                 (mirrors the ci.yml perf-smoke job); every gate runs,
+#                 and the step fails at the end listing each failed gate
 #   --chaos       additionally run the fig_chaos worker-failure drill
 #                 (zero lost requests, recovery within budget) and compare
 #                 recovery time against
@@ -115,19 +116,30 @@ if [[ "$run_asan" == 1 ]]; then
     robustness_test cancellation_test sharding_test api_conformance_test \
     numa_placement_test watchdog_test util_test device_test \
     request_processor_test scheduler_test sync_engine_test sim_engine_test \
-    property_test attention_test
+    property_test attention_test graph_test
   # Anchored: unanchored, property_test also matches tensor_property_test,
   # which this build does not compile.
   ctest --test-dir build-asan --output-on-failure \
-    -R '^(server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test|request_processor_test|scheduler_test|sync_engine_test|sim_engine_test|property_test|attention_test)$'
+    -R '^(server_test|obs_test|thread_pool_test|determinism_test|robustness_test|cancellation_test|sharding_test|api_conformance_test|numa_placement_test|watchdog_test|util_test|device_test|request_processor_test|scheduler_test|sync_engine_test|sim_engine_test|property_test|attention_test|graph_test)$'
 fi
 
 if [[ "$run_perf" == 1 ]]; then
+  # Every gate runs even after one fails; the step then fails once, naming
+  # each gate that failed.
+  failed_gates=()
+  gate() {  # gate NAME COMMAND...
+    local name=$1
+    shift
+    if ! "$@"; then
+      failed_gates+=("$name")
+    fi
+  }
+
   echo "==> perf-smoke: fig07 + overload points vs committed baseline"
   cmake --build build-check -j "$(nproc)" --target fig07_lstm_throughput_latency fig_overload
   (cd build-check && ./bench/fig07_lstm_throughput_latency --smoke --out BENCH_fig07.json)
   (cd build-check && ./bench/fig_overload --smoke --out BENCH_overload.json)
-  python3 tools/compare_bench.py \
+  gate "fig07 vs BENCH_fig07_baseline.json" python3 tools/compare_bench.py \
     bench/baselines/BENCH_fig07_baseline.json \
     build-check/BENCH_fig07.json \
     --metric p50_ms:0.25 --metric p99_ms:0.5 \
@@ -139,12 +151,18 @@ if [[ "$run_perf" == 1 ]]; then
   # topology).
   cmake --build build-check -j "$(nproc)" --target abl_locality
   (cd build-check && ./bench/abl_locality --numa-only --smoke --out BENCH_numa.json)
-  python3 tools/compare_bench.py \
+  gate "NUMA placement vs BENCH_numa_baseline.json" python3 tools/compare_bench.py \
     bench/baselines/BENCH_numa_baseline.json \
     build-check/BENCH_numa.json \
     --keys policy \
     --metric p50_ms:1.0 \
     --min-cores 2
+
+  if ((${#failed_gates[@]} > 0)); then
+    echo "perf-smoke: ${#failed_gates[@]} gate(s) failed:" >&2
+    printf '  %s\n' "${failed_gates[@]}" >&2
+    exit 1
+  fi
 fi
 
 if [[ "$run_chaos" == 1 ]]; then
